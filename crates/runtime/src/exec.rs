@@ -1064,6 +1064,35 @@ enum MasterPlan {
     Created { cost: Cycle, completed: bool },
 }
 
+/// The blocks of the task a core is starting, refilled per start so the
+/// driver allocates nothing per task. Each set holds what
+/// [`TaskSpec::working_set`], [`TaskSpec::read_set`] and
+/// [`TaskSpec::write_set`] return, in the same order.
+#[derive(Default)]
+struct BlockSets {
+    working: Vec<(u64, u64)>,
+    reads: Vec<(u64, u64)>,
+    writes: Vec<(u64, u64)>,
+}
+
+impl BlockSets {
+    fn fill(&mut self, spec: &TaskSpec) {
+        self.working.clear();
+        self.reads.clear();
+        self.writes.clear();
+        for dep in &spec.deps {
+            let block = (dep.addr, dep.size);
+            self.working.push(block);
+            if dep.direction.reads() {
+                self.reads.push(block);
+            }
+            if dep.direction.writes() {
+                self.writes.push(block);
+            }
+        }
+    }
+}
+
 /// Periodic capture control threaded into [`run_core`]: when simulated time
 /// reaches `next_at`, the driver assembles a [`Snapshot`] and hands it to
 /// `sink`; a `false` return halts the run (the checkpointed entry points
@@ -1144,6 +1173,7 @@ fn run_core<F: TaskFeed>(
     // (with the successor count its re-issue must carry), the core it
     // failed on, and the engine's failure-path cost.
     let mut fail_events: Vec<(RunningTask, usize, Cycle)> = Vec::new();
+    let mut block_sets = BlockSets::default();
     let mut next_create = 0usize;
     let mut finished = 0usize;
     let mut peak_resident = feed.resident();
@@ -1584,16 +1614,14 @@ fn run_core<F: TaskFeed>(
                 t += pick_cost;
 
                 let spec = feed.spec(entry.task);
-                let working_set = spec.working_set();
-                let hit_fraction = locality.probe(core, &working_set).hit_fraction();
+                block_sets.fill(spec);
+                let hit_fraction = locality.probe(core, &block_sets.working).hit_fraction();
                 let locality_factor = 1.0 - locality_benefit * hit_fraction;
                 let duration = spec
                     .duration
                     .scaled_f64(locality_factor * jitter_for(entry.task));
-                let reads = spec.read_set();
-                let writes = spec.write_set();
-                locality.record_reads(core, &reads);
-                locality.record_writes(core, &writes);
+                locality.record_reads(core, &block_sets.reads);
+                locality.record_writes(core, &block_sets.writes);
 
                 stats.cores[core].add(Phase::Exec, duration);
                 running[core] = Some(RunningTask {

@@ -14,8 +14,6 @@
 //! were just produced here" versus "my inputs live in another core's cache or
 //! in L2/memory", which an LRU over dependence blocks captures.
 
-use std::collections::VecDeque;
-
 use serde::{Deserialize, Serialize};
 
 use crate::fast_map::FastMap;
@@ -51,78 +49,54 @@ impl LocalityOutcome {
     }
 }
 
-/// One core's recently-touched blocks, in LRU order (front = most recent).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct CoreResidency {
-    /// (block address, block size in bytes), most-recently-used first.
-    blocks: VecDeque<(BlockAddr, u64)>,
-    /// Total bytes currently tracked.
+/// Marks the end of a list: no node.
+const NIL: u32 = u32::MAX;
+
+/// One (core, block) residency. A live node sits in two doubly-linked lists
+/// at once: its core's MRU list and its block's holder chain. A free node is
+/// linked into the slab's free list through `next`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    block: BlockAddr,
+    /// Block size in bytes, as of the last touch.
+    size: u64,
+    core: u32,
+    /// Neighbour towards the MRU end of the core's list.
+    prev: u32,
+    /// Neighbour towards the LRU end of the core's list.
+    next: u32,
+    holder_prev: u32,
+    holder_next: u32,
+}
+
+/// One core's MRU list: its two ends plus running totals.
+#[derive(Debug, Clone, Copy)]
+struct CoreList {
+    /// Most recently used node.
+    head: u32,
+    /// Least recently used node: the next eviction victim.
+    tail: u32,
+    len: usize,
     bytes: u64,
 }
 
-impl CoreResidency {
-    fn contains(&self, addr: BlockAddr) -> bool {
-        self.blocks.iter().any(|&(a, _)| a == addr)
-    }
-
-    /// Touches a block: moves it to the MRU position, inserting it if absent,
-    /// and evicts LRU blocks if the capacity is exceeded. Evicted addresses
-    /// are reported through `holders` so the model-level index stays in sync.
-    fn touch(
-        &mut self,
-        core: usize,
-        addr: BlockAddr,
-        size: u64,
-        capacity: u64,
-        holders: &mut FastMap<BlockAddr, Vec<u32>>,
-    ) {
-        if let Some(pos) = self.blocks.iter().position(|&(a, _)| a == addr) {
-            let entry = self.blocks.remove(pos).expect("position came from iter");
-            self.bytes -= entry.1;
-        } else {
-            holders.entry(addr).or_default().push(core as u32);
-        }
-        self.blocks.push_front((addr, size));
-        self.bytes += size;
-        while self.bytes > capacity && self.blocks.len() > 1 {
-            if let Some((evicted_addr, evicted)) = self.blocks.pop_back() {
-                self.bytes -= evicted;
-                remove_holder(holders, evicted_addr, core);
-            }
-        }
-        // A single block larger than the whole cache is allowed to stay: the
-        // task streams through it and the miss cost is charged on access.
-    }
-
-    fn invalidate(
-        &mut self,
-        core: usize,
-        addr: BlockAddr,
-        holders: &mut FastMap<BlockAddr, Vec<u32>>,
-    ) {
-        if let Some(pos) = self.blocks.iter().position(|&(a, _)| a == addr) {
-            let entry = self.blocks.remove(pos).expect("position came from iter");
-            self.bytes -= entry.1;
-            remove_holder(holders, addr, core);
-        }
-    }
-}
-
-/// Drops `core` from the holder list of `addr`, removing the map entry when
-/// the list empties.
-fn remove_holder(holders: &mut FastMap<BlockAddr, Vec<u32>>, addr: BlockAddr, core: usize) {
-    if let Some(list) = holders.get_mut(&addr) {
-        if let Some(pos) = list.iter().position(|&c| c as usize == core) {
-            list.swap_remove(pos);
-            if list.is_empty() {
-                holders.remove(&addr);
-            }
-        }
-    }
+impl CoreList {
+    const EMPTY: CoreList = CoreList {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+        bytes: 0,
+    };
 }
 
 /// Tracks, per core, which data blocks are resident in that core's private
 /// cache, with LRU replacement bounded by a byte capacity.
+///
+/// All residencies live in one node slab. Each node is linked into its
+/// core's MRU list and into its block's holder chain, whose heads a
+/// block-keyed map holds, so touching, evicting and invalidating a block
+/// cost O(1) plus the length of the block's holder chain (at most one node
+/// per core), and a new residency reuses a freed node.
 ///
 /// # Example
 ///
@@ -139,16 +113,13 @@ fn remove_holder(holders: &mut FastMap<BlockAddr, Vec<u32>>, addr: BlockAddr, co
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LocalityModel {
     capacity_bytes: u64,
-    cores: Vec<CoreResidency>,
-    /// Derived index: which cores currently hold each resident block. Lets a
-    /// write invalidate exactly the holders instead of scanning every core's
-    /// LRU (the former `record_writes` hot loop was O(cores × resident
-    /// blocks) per written block). Purely an actual-work accelerator: the
-    /// per-core residency contents — and therefore every probe outcome —
-    /// are unchanged. Never iterated, so map order is unobservable.
-    holders: FastMap<BlockAddr, Vec<u32>>,
-    /// Scratch holder snapshot reused across `record_writes` calls.
-    scratch: Vec<u32>,
+    cores: Vec<CoreList>,
+    nodes: Vec<Node>,
+    /// Head of the free-node list.
+    free: u32,
+    /// Head of each resident block's holder chain. Never iterated outside
+    /// the debug check, so map order is unobservable.
+    holders: FastMap<BlockAddr, u32>,
 }
 
 impl LocalityModel {
@@ -158,15 +129,21 @@ impl LocalityModel {
     ///
     /// # Panics
     ///
-    /// Panics if `num_cores` is zero or `capacity_bytes` is zero.
+    /// Panics if `num_cores` is zero or above `u32::MAX`, or if
+    /// `capacity_bytes` is zero.
     pub fn new(num_cores: usize, capacity_bytes: u64) -> Self {
         assert!(num_cores > 0, "locality model needs at least one core");
+        assert!(
+            u32::try_from(num_cores).is_ok(),
+            "locality model core ids are u32"
+        );
         assert!(capacity_bytes > 0, "cache capacity must be non-zero");
         LocalityModel {
             capacity_bytes,
-            cores: vec![CoreResidency::default(); num_cores],
+            cores: vec![CoreList::EMPTY; num_cores],
+            nodes: Vec::new(),
+            free: NIL,
             holders: FastMap::default(),
-            scratch: Vec::new(),
         }
     }
 
@@ -187,10 +164,10 @@ impl LocalityModel {
     ///
     /// Panics if `core` is out of range.
     pub fn probe(&self, core: usize, working_set: &[(BlockAddr, u64)]) -> LocalityOutcome {
-        let residency = &self.cores[core];
+        let core = self.core_id(core);
         let mut outcome = LocalityOutcome::default();
         for &(addr, size) in working_set {
-            if residency.contains(addr) {
+            if self.find(core, addr).is_some() {
                 outcome.hit_bytes += size;
             } else {
                 outcome.miss_bytes += size;
@@ -201,109 +178,340 @@ impl LocalityModel {
 
     /// Records that `core` read the given blocks (they become resident there).
     pub fn record_reads(&mut self, core: usize, working_set: &[(BlockAddr, u64)]) {
+        let core = self.core_id(core);
         for &(addr, size) in working_set {
-            self.cores[core].touch(core, addr, size, self.capacity_bytes, &mut self.holders);
+            self.touch(core, addr, size);
         }
-        self.debug_check_holders();
+        self.debug_check();
     }
 
     /// Records that `core` wrote the given blocks. The blocks become resident
     /// on the writer and are invalidated everywhere else (a coarse model of
     /// invalidation-based coherence).
     pub fn record_writes(&mut self, core: usize, working_set: &[(BlockAddr, u64)]) {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let core = self.core_id(core);
         for &(addr, size) in working_set {
-            // Snapshot the holder list: invalidation mutates it, and at most
-            // a handful of cores ever hold one block.
-            scratch.clear();
-            if let Some(holding) = self.holders.get(&addr) {
-                scratch.extend_from_slice(holding);
-            }
-            for &holder in &scratch {
-                let holder = holder as usize;
-                if holder != core {
-                    self.cores[holder].invalidate(holder, addr, &mut self.holders);
+            let mut n = self.holders.get(&addr).copied().unwrap_or(NIL);
+            while n != NIL {
+                let node = self.nodes[n as usize];
+                if node.core != core {
+                    self.remove(n);
                 }
+                n = node.holder_next;
             }
-            self.cores[core].touch(core, addr, size, self.capacity_bytes, &mut self.holders);
+            self.touch(core, addr, size);
         }
-        self.scratch = scratch;
-        self.debug_check_holders();
+        self.debug_check();
     }
 
     /// Forgets all residency information (used between parallel regions).
     pub fn reset(&mut self) {
-        for core in &mut self.cores {
-            core.blocks.clear();
-            core.bytes = 0;
-        }
+        self.cores.fill(CoreList::EMPTY);
+        self.nodes.clear();
+        self.free = NIL;
         self.holders.clear();
-    }
-
-    /// Debug-build invariant: `holders` is exactly the per-block transpose of
-    /// the per-core residency lists.
-    fn debug_check_holders(&self) {
-        #[cfg(debug_assertions)]
-        {
-            let mut expected: FastMap<BlockAddr, Vec<u32>> = FastMap::default();
-            for (i, residency) in self.cores.iter().enumerate() {
-                for &(addr, _) in &residency.blocks {
-                    expected.entry(addr).or_default().push(i as u32);
-                }
-            }
-            assert_eq!(expected.len(), self.holders.len(), "holder index drift");
-            for (addr, cores) in &expected {
-                let mut got = self.holders.get(addr).cloned().unwrap_or_default();
-                let mut want = cores.clone();
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "holder index drift for block {addr:#x}");
-            }
-        }
     }
 
     /// Total bytes currently tracked as resident on `core`.
     pub fn resident_bytes(&self, core: usize) -> u64 {
         self.cores[core].bytes
     }
+
+    /// `core` as a node's core id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    fn core_id(&self, core: usize) -> u32 {
+        assert!(
+            core < self.cores.len(),
+            "core {core} out of range for a {}-core locality model",
+            self.cores.len()
+        );
+        // `new` bounds the core count by u32::MAX.
+        core as u32
+    }
+
+    /// The node holding `addr` on `core`, if the block is resident there.
+    fn find(&self, core: u32, addr: BlockAddr) -> Option<u32> {
+        let mut n = *self.holders.get(&addr)?;
+        while n != NIL {
+            let node = &self.nodes[n as usize];
+            if node.core == core {
+                return Some(n);
+            }
+            n = node.holder_next;
+        }
+        None
+    }
+
+    /// Touches a block: moves it to the MRU position, inserting it if absent,
+    /// and evicts LRU blocks while the capacity is exceeded.
+    fn touch(&mut self, core: u32, addr: BlockAddr, size: u64) {
+        let n = match self.find(core, addr) {
+            Some(n) => {
+                self.unlink_from_core(n);
+                self.nodes[n as usize].size = size;
+                n
+            }
+            None => self.insert_holder(core, addr, size),
+        };
+        self.push_mru(n);
+        // A single block larger than the whole cache is allowed to stay: the
+        // task streams through it and the miss cost is charged on access.
+        loop {
+            let list = &self.cores[core as usize];
+            if list.bytes <= self.capacity_bytes || list.len <= 1 {
+                break;
+            }
+            self.remove(list.tail);
+        }
+    }
+
+    /// Allocates a node for `addr` on `core` at the head of the block's
+    /// holder chain; the caller links it into the core's list.
+    fn insert_holder(&mut self, core: u32, addr: BlockAddr, size: u64) -> u32 {
+        let node = Node {
+            block: addr,
+            size,
+            core,
+            prev: NIL,
+            next: NIL,
+            holder_prev: NIL,
+            holder_next: NIL,
+        };
+        let n = if self.free == NIL {
+            let n = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("locality node slab outgrew u32 indices");
+            self.nodes.push(node);
+            n
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        };
+        if let Some(head) = self.holders.insert(addr, n) {
+            self.nodes[n as usize].holder_next = head;
+            self.nodes[head as usize].holder_prev = n;
+        }
+        n
+    }
+
+    /// Links node `n` at the MRU end of its core's list.
+    fn push_mru(&mut self, n: u32) {
+        let node = &mut self.nodes[n as usize];
+        let list = &mut self.cores[node.core as usize];
+        node.prev = NIL;
+        node.next = list.head;
+        list.len += 1;
+        list.bytes += node.size;
+        let old_head = std::mem::replace(&mut list.head, n);
+        if old_head == NIL {
+            list.tail = n;
+        } else {
+            self.nodes[old_head as usize].prev = n;
+        }
+    }
+
+    /// Unlinks node `n` from its core's list, keeping the list's totals.
+    fn unlink_from_core(&mut self, n: u32) {
+        let Node {
+            core,
+            size,
+            prev,
+            next,
+            ..
+        } = self.nodes[n as usize];
+        let list = &mut self.cores[core as usize];
+        list.len -= 1;
+        list.bytes -= size;
+        if prev == NIL {
+            list.head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        if next == NIL {
+            list.tail = prev;
+        } else {
+            self.nodes[next as usize].prev = prev;
+        }
+    }
+
+    /// Drops node `n` from both of its lists and frees it.
+    fn remove(&mut self, n: u32) {
+        self.unlink_from_core(n);
+        let Node {
+            block,
+            holder_prev,
+            holder_next,
+            ..
+        } = self.nodes[n as usize];
+        if holder_next != NIL {
+            self.nodes[holder_next as usize].holder_prev = holder_prev;
+        }
+        if holder_prev != NIL {
+            self.nodes[holder_prev as usize].holder_next = holder_next;
+        } else if holder_next == NIL {
+            self.holders.remove(&block);
+        } else {
+            self.holders.insert(block, holder_next);
+        }
+        self.nodes[n as usize].next = self.free;
+        self.free = n;
+    }
+
+    /// The blocks resident on `core` with their sizes, most recently used
+    /// first.
+    fn mru_blocks(&self, core: usize) -> impl Iterator<Item = (BlockAddr, u64)> + '_ {
+        let mut n = self.cores[core].head;
+        std::iter::from_fn(move || {
+            if n == NIL {
+                return None;
+            }
+            let node = &self.nodes[n as usize];
+            n = node.next;
+            Some((node.block, node.size))
+        })
+    }
+
+    /// Debug-build invariant: the holder chains are exactly the transpose of
+    /// the per-core lists (every listed node is chained once, under its own
+    /// block, and no core holds a block twice), each core's `len`/`bytes`
+    /// match its list, and every other node is free.
+    fn debug_check(&self) {
+        #[cfg(debug_assertions)]
+        {
+            const LISTED: u8 = 1;
+            const CHAINED: u8 = 2;
+            const FREE: u8 = 4;
+            let mut marks = vec![0u8; self.nodes.len()];
+            for (core, list) in self.cores.iter().enumerate() {
+                let (mut n, mut prev, mut len, mut bytes) = (list.head, NIL, 0usize, 0u64);
+                while n != NIL {
+                    let node = &self.nodes[n as usize];
+                    assert_eq!(node.core as usize, core, "node {n} on another core's list");
+                    assert_eq!(node.prev, prev, "broken MRU back link at node {n}");
+                    assert_eq!(marks[n as usize], 0, "node {n} listed twice");
+                    marks[n as usize] = LISTED;
+                    len += 1;
+                    bytes += node.size;
+                    prev = n;
+                    n = node.next;
+                }
+                assert_eq!(list.tail, prev, "core {core} tail drift");
+                assert_eq!(
+                    (list.len, list.bytes),
+                    (len, bytes),
+                    "core {core} total drift"
+                );
+            }
+            // Chain number (plus one) that last met each core, to catch a
+            // core holding one block twice.
+            let mut met = vec![0usize; self.cores.len()];
+            for (chain, (&block, &head)) in self.holders.iter().enumerate() {
+                assert_ne!(head, NIL, "empty holder chain kept for block {block:#x}");
+                let (mut n, mut prev) = (head, NIL);
+                while n != NIL {
+                    let node = &self.nodes[n as usize];
+                    assert_eq!(node.block, block, "node {n} chained under another block");
+                    assert_eq!(
+                        node.holder_prev, prev,
+                        "broken holder back link at node {n}"
+                    );
+                    assert_eq!(
+                        marks[n as usize], LISTED,
+                        "chained node {n} is not listed once"
+                    );
+                    marks[n as usize] |= CHAINED;
+                    let core = node.core as usize;
+                    assert_ne!(met[core], chain + 1, "core {core} holds {block:#x} twice");
+                    met[core] = chain + 1;
+                    prev = n;
+                    n = node.holder_next;
+                }
+            }
+            let mut n = self.free;
+            while n != NIL {
+                assert_eq!(marks[n as usize], 0, "free node {n} is live or freed twice");
+                marks[n as usize] = FREE;
+                n = self.nodes[n as usize].next;
+            }
+            assert!(
+                marks.iter().all(|&m| m == LISTED | CHAINED || m == FREE),
+                "a node is neither resident in both lists nor free"
+            );
+        }
+    }
 }
 
 // Snapshot support. The observable state is the per-core MRU block list
-// (order matters: it decides eviction victims); `bytes`, the `holders`
-// transpose and the write scratch are all derived, so the codec stores
-// only capacity and the lists and rebuilds the rest on load.
+// (order matters: it decides eviction victims); the list totals, the node
+// slab and the holder chains are all derived, so the codec stores only
+// capacity and the lists and rebuilds the rest on load.
 impl crate::snapshot::Persist for LocalityModel {
     fn save(&self, out: &mut Vec<u8>) {
         self.capacity_bytes.save(out);
         self.cores.len().save(out);
-        for core in &self.cores {
-            core.blocks.save(out);
+        for (core, list) in self.cores.iter().enumerate() {
+            list.len.save(out);
+            for (addr, size) in self.mru_blocks(core) {
+                addr.save(out);
+                size.save(out);
+            }
         }
     }
 
     fn load(r: &mut crate::snapshot::Reader<'_>) -> Result<Self, crate::snapshot::SnapshotError> {
+        use crate::snapshot::SnapshotError;
         let capacity_bytes = u64::load(r)?;
         let num_cores = usize::load(r)?;
         if capacity_bytes == 0 || num_cores == 0 {
-            return Err(crate::snapshot::SnapshotError::Corrupt {
+            return Err(SnapshotError::Corrupt {
                 context: format!(
                     "locality model with {num_cores} cores and {capacity_bytes}-byte \
                      capacity (both must be non-zero)"
                 ),
             });
         }
-        let mut model = LocalityModel::new(num_cores, capacity_bytes);
-        for core in 0..num_cores {
-            let blocks: VecDeque<(BlockAddr, u64)> = VecDeque::load(r)?;
-            let residency = &mut model.cores[core];
-            residency.bytes = blocks.iter().map(|&(_, size)| size).sum();
-            for &(addr, _) in &blocks {
-                // tdm-lint: allow(C1): `core < num_cores` and the codec already bounds num_cores via usize::load; the holder index stores u32 core ids by construction.
-                model.holders.entry(addr).or_default().push(core as u32);
-            }
-            residency.blocks = blocks;
+        // Each core's list opens with an 8-byte length, so a core count the
+        // payload cannot hold is refused before anything is allocated for it.
+        if num_cores > r.remaining() / 8 {
+            return Err(SnapshotError::Truncated {
+                context: "locality core lists",
+            });
         }
-        model.debug_check_holders();
+        let cores = u32::try_from(num_cores).map_err(|_| SnapshotError::Corrupt {
+            context: format!("locality model with {num_cores} cores (core ids are u32)"),
+        })?;
+        let mut model = LocalityModel::new(num_cores, capacity_bytes);
+        for core in 0..cores {
+            let blocks: Vec<(BlockAddr, u64)> = Vec::load(r)?;
+            let bytes = blocks
+                .iter()
+                .try_fold(0u64, |sum, &(_, size)| sum.checked_add(size));
+            if blocks.len() > 1 && bytes.is_none_or(|b| b > capacity_bytes) {
+                return Err(SnapshotError::Corrupt {
+                    context: format!(
+                        "core {core} holds {} blocks over its {capacity_bytes}-byte capacity",
+                        blocks.len()
+                    ),
+                });
+            }
+            // Linking from the LRU end leaves the first block most recent.
+            for &(addr, size) in blocks.iter().rev() {
+                if model.find(core, addr).is_some() {
+                    return Err(SnapshotError::Corrupt {
+                        context: format!("core {core} lists block {addr:#x} twice"),
+                    });
+                }
+                let n = model.insert_holder(core, addr, size);
+                model.push_mru(n);
+            }
+        }
+        model.debug_check();
         Ok(model)
     }
 }
@@ -406,64 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn holder_index_matches_a_scan_of_every_core_in_randomized_lockstep() {
-        // The holder index is a derived accelerator; residency (and thus
-        // every probe outcome) must match the retired scan-all-cores
-        // implementation. Replay random reads/writes/resets against a naive
-        // copy that recomputes hit/miss by scanning the per-core lists.
-        use crate::rng::SplitMix64;
-        let mut rng = SplitMix64::new(0xCAFE);
-        let cores = 5;
-        let mut model = LocalityModel::new(cores, 1000);
-        // Mirror of the expected residency: per core, MRU-first (addr, size).
-        let mut mirror: Vec<Vec<(u64, u64)>> = vec![Vec::new(); cores];
-        for step in 0..4000 {
-            let core = (rng.next_u64() % cores as u64) as usize;
-            let addr = 0x100 + (rng.next_u64() % 12) * 0x100;
-            let size = 100 + (rng.next_u64() % 4) * 150;
-            match rng.next_u64() % 8 {
-                0 => {
-                    model.reset();
-                    for m in &mut mirror {
-                        m.clear();
-                    }
-                }
-                1..=3 => {
-                    model.record_reads(core, &[(addr, size)]);
-                    mirror_touch(&mut mirror[core], addr, size, 1000);
-                }
-                _ => {
-                    model.record_writes(core, &[(addr, size)]);
-                    for (i, m) in mirror.iter_mut().enumerate() {
-                        if i != core {
-                            m.retain(|&(a, _)| a != addr);
-                        }
-                    }
-                    mirror_touch(&mut mirror[core], addr, size, 1000);
-                }
-            }
-            for (i, m) in mirror.iter().enumerate() {
-                let bytes: u64 = m.iter().map(|&(_, s)| s).sum();
-                assert_eq!(model.resident_bytes(i), bytes, "step {step} core {i}");
-                for &(a, s) in m {
-                    assert_eq!(model.probe(i, &[(a, s)]).hit_bytes, s, "step {step}");
-                }
-            }
-        }
-    }
-
-    /// The pre-index `touch` semantics, against a plain MRU-first Vec.
-    fn mirror_touch(list: &mut Vec<(u64, u64)>, addr: u64, size: u64, capacity: u64) {
-        list.retain(|&(a, _)| a != addr);
-        list.insert(0, (addr, size));
-        let mut bytes: u64 = list.iter().map(|&(_, s)| s).sum();
-        while bytes > capacity && list.len() > 1 {
-            let (_, evicted) = list.pop().expect("len checked");
-            bytes -= evicted;
-        }
-    }
-
-    #[test]
     fn double_counting_same_block_in_working_set() {
         // A task listing the same block twice (in + inout on same address)
         // counts it twice; this is fine because both the hit and miss sides
@@ -472,5 +622,153 @@ mod tests {
         model.record_reads(0, &[(0xC000, 128)]);
         let out = model.probe(0, &[(0xC000, 128), (0xC000, 128)]);
         assert_eq!(out.hit_bytes, 256);
+    }
+
+    /// A LOCALITY payload with the given capacity and per-core MRU lists.
+    pub(super) fn payload(capacity: u64, lists: &[Vec<(u64, u64)>]) -> Vec<u8> {
+        use crate::snapshot::Persist;
+        let mut out = Vec::new();
+        capacity.save(&mut out);
+        lists.to_vec().save(&mut out);
+        out
+    }
+
+    fn load(bytes: &[u8]) -> Result<LocalityModel, crate::snapshot::SnapshotError> {
+        crate::snapshot::from_payload(bytes, "LOCALITY")
+    }
+
+    #[test]
+    fn decoder_refuses_a_core_count_the_payload_cannot_hold() {
+        // Capacity 1 and 2^40 cores, with no core lists behind them.
+        let mut bytes = 1u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(matches!(
+            load(&bytes),
+            Err(crate::snapshot::SnapshotError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn decoder_refuses_a_block_listed_twice_on_one_core() {
+        let bytes = payload(
+            1000,
+            &[vec![], vec![(0x1000, 100), (0x2000, 100), (0x1000, 100)]],
+        );
+        let err = load(&bytes).expect_err("duplicate block must be refused");
+        assert!(err.to_string().contains("twice"), "{err}");
+    }
+
+    #[test]
+    fn decoder_refuses_a_multi_block_list_over_capacity() {
+        // One oversized block alone is a reachable state; two over capacity
+        // are not, nor is a byte total that overflows.
+        assert!(load(&payload(1000, &[vec![(0x1000, 5000)]])).is_ok());
+        for list in [
+            vec![(0x1000, 600), (0x2000, 600)],
+            vec![(0x1000, u64::MAX), (0x2000, 1)],
+        ] {
+            let err = load(&payload(1000, &[list])).expect_err("over-capacity list");
+            assert!(err.to_string().contains("capacity"), "{err}");
+        }
+    }
+}
+
+/// Randomized lockstep equivalence of the slab LRU against a mirror of the
+/// pre-slab model: per core, a plain MRU-first `Vec` of (block, size).
+///
+/// CI runs this module by name:
+/// `cargo test --release -p tdm-sim locality_lockstep`.
+#[cfg(test)]
+mod locality_lockstep {
+    use super::tests::payload;
+    use super::*;
+    use crate::rng::SplitMix64;
+    use crate::snapshot::{from_payload, to_payload};
+
+    const CORES: usize = 32;
+    const CAPACITY: u64 = 1000;
+
+    /// The pre-slab `touch`: move to (or insert at) the MRU end, then evict
+    /// from the LRU end while over capacity, keeping a lone oversized block.
+    fn mirror_touch(list: &mut Vec<(u64, u64)>, addr: u64, size: u64) {
+        list.retain(|&(a, _)| a != addr);
+        list.insert(0, (addr, size));
+        let mut bytes: u64 = list.iter().map(|&(_, s)| s).sum();
+        while bytes > CAPACITY && list.len() > 1 {
+            let (_, evicted) = list.pop().expect("len checked");
+            bytes -= evicted;
+        }
+    }
+
+    #[test]
+    fn slab_lru_matches_an_mru_mirror_in_randomized_lockstep() {
+        let mut rng = SplitMix64::new(0xCAFE);
+        let mut model = LocalityModel::new(CORES, CAPACITY);
+        let mut mirror: Vec<Vec<(u64, u64)>> = vec![Vec::new(); CORES];
+        // Block-aligned addresses, as dependence blocks are; sizes include
+        // blocks larger than the whole capacity.
+        let block = |rng: &mut SplitMix64| 0x4000_0000 + (rng.next_u64() % 48) * 0x1000;
+        let size =
+            |rng: &mut SplitMix64| [0, 100, 250, 400, 550, 1200][(rng.next_u64() % 6) as usize];
+        for step in 0..20_000 {
+            let core = (rng.next_u64() % CORES as u64) as usize;
+            // One to three blocks, so a working set may repeat a block (an
+            // in and an inout on one address) with different sizes.
+            let set: Vec<(u64, u64)> = (0..1 + rng.next_u64() % 3)
+                .map(|_| (block(&mut rng), size(&mut rng)))
+                .collect();
+            let probe = model.probe(core, &set);
+            let (mut hit, mut miss) = (0, 0);
+            for &(a, s) in &set {
+                if mirror[core].iter().any(|&(b, _)| b == a) {
+                    hit += s;
+                } else {
+                    miss += s;
+                }
+            }
+            assert_eq!(
+                (probe.hit_bytes, probe.miss_bytes),
+                (hit, miss),
+                "step {step}"
+            );
+            match rng.next_u64() % 16 {
+                0 => {
+                    model.reset();
+                    mirror.iter_mut().for_each(Vec::clear);
+                }
+                1 => {
+                    // Round trip mid-sequence; the run continues on the copy.
+                    model = from_payload(&to_payload(&model), "LOCALITY").expect("round trip");
+                }
+                2..=8 => {
+                    model.record_reads(core, &set);
+                    for &(a, s) in &set {
+                        mirror_touch(&mut mirror[core], a, s);
+                    }
+                }
+                _ => {
+                    model.record_writes(core, &set);
+                    for &(a, s) in &set {
+                        for (i, m) in mirror.iter_mut().enumerate() {
+                            if i != core {
+                                m.retain(|&(b, _)| b != a);
+                            }
+                        }
+                        mirror_touch(&mut mirror[core], a, s);
+                    }
+                }
+            }
+            // The bytes pin each core's full MRU order, which decides every
+            // later eviction; probes alone would not.
+            assert_eq!(
+                to_payload(&model),
+                payload(CAPACITY, &mirror),
+                "step {step}"
+            );
+            for (i, m) in mirror.iter().enumerate() {
+                let bytes: u64 = m.iter().map(|&(_, s)| s).sum();
+                assert_eq!(model.resident_bytes(i), bytes, "step {step} core {i}");
+            }
+        }
     }
 }

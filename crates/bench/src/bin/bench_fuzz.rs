@@ -9,22 +9,23 @@
 //!   duplicated task);
 //! * **eager ≡ streaming** — the eager and streaming drivers produce
 //!   bit-identical `RunReport`s for every cell;
-//! * **resume identity** — one rotating cell per case is checkpointed at
-//!   quarter-makespan intervals (every snapshot pushed through the binary
-//!   codec) and resumed from each checkpoint, eager and streaming, with
-//!   bit-identical reports;
+//! * **resume identity** — one rotating cell per case is streamed with
+//!   checkpoints at quarter-makespan intervals (every snapshot pushed
+//!   through the binary codec) and resumed from each checkpoint on a fresh
+//!   generator, with bit-identical outcomes;
 //! * **windowed validity** — one rotating cell per case replays through a
 //!   tight master window and must still conform and bound residency;
 //! * **trace round-trip** — the case dumps to a `tdmtrace v1` file that
 //!   re-dumps byte-identically and replays with a bit-identical report;
 //! * **fault leg** (`--fault-rate R`, R > 0) — one rotating cell per case
 //!   replays under a survivable fault schedule (per-task fault cap below
-//!   the retry budget, sticky core faults at `R/8`): the typed outcomes of
-//!   the eager and streaming drivers must agree field for field (with
+//!   the retry budget, sticky core faults at `R/8`): the streaming run must
+//!   complete, the eager run must match it field for field (with
 //!   `peak_resident_tasks` excluded, exactly as in the fault-free driver
 //!   identity), the faulted schedule must still pass the golden model with
-//!   every fault retried (no lost work), and resume from every mid-fault
-//!   checkpoint must be bit-identical.
+//!   every fault retried (no lost work), and a streaming resume from every
+//!   mid-fault checkpoint (each through the binary codec) must be
+//!   bit-identical.
 //!
 //! A failing case is shrunk by halving its shape list while the failure
 //! persists (sound because phases are mutually independent and derive their
@@ -48,8 +49,7 @@ use std::process::ExitCode;
 use tdm_bench::cli::{self, Args};
 use tdm_bench::sweep::point_seed;
 use tdm_runtime::exec::{
-    resume, resume_outcome, resume_stream, simulate, simulate_checkpointed,
-    simulate_checkpointed_outcome, simulate_outcome, simulate_stream, simulate_stream_checkpointed,
+    resume_stream_outcome, simulate, simulate_stream, simulate_stream_checkpointed_outcome,
     simulate_stream_outcome, Backend, ExecConfig, RunOutcome, RunReport,
 };
 use tdm_runtime::fault::FaultConfig;
@@ -248,33 +248,54 @@ fn cross_driver_diff(eager: &RunReport, streamed: &RunReport) -> Option<&'static
     }
 }
 
-/// [`cross_driver_diff`] lifted to typed outcomes: completed runs compare
-/// report-wise, aborts must agree on the offending task and attempt count
-/// (and their partial reports), and a completed/aborted mismatch is itself
-/// a divergence.
-fn outcome_diff(eager: &RunOutcome, streamed: &RunOutcome) -> Option<&'static str> {
-    match (eager, streamed) {
-        (RunOutcome::Completed(e), RunOutcome::Completed(s)) => cross_driver_diff(e, s),
-        (
-            RunOutcome::Aborted {
-                task: e_task,
-                attempts: e_attempts,
-                report: e_report,
-            },
-            RunOutcome::Aborted {
-                task: s_task,
-                attempts: s_attempts,
-                report: s_report,
-            },
-        ) => {
-            if (e_task, e_attempts) != (s_task, s_attempts) {
-                Some("aborting task")
-            } else {
-                cross_driver_diff(e_report, s_report)
+/// Streams `spec` on one cell with checkpoint capture, pushing every
+/// snapshot through the binary codec, then resumes from each snapshot on a
+/// freshly built generator. The checkpointed run and every resume must
+/// reproduce `straight`. Returns the number of simulations run.
+fn check_resume(
+    spec: &GrammarSpec,
+    backend: &Backend,
+    scheduler: SchedulerKind,
+    config: &ExecConfig,
+    straight: &RunOutcome,
+    context: &str,
+) -> Result<usize, String> {
+    let mut snaps: Vec<Snapshot> = Vec::new();
+    let mut codec_err: Option<String> = None;
+    let checkpointed = simulate_stream_checkpointed_outcome(
+        &mut spec.stream(),
+        backend,
+        scheduler,
+        config,
+        &mut |snap| match Snapshot::from_bytes(&snap.to_bytes()) {
+            Ok(snap) => {
+                snaps.push(snap);
+                true
             }
-        }
-        _ => Some("completion outcome"),
+            Err(e) => {
+                codec_err = Some(e.to_string());
+                false
+            }
+        },
+    );
+    if let Some(e) = codec_err {
+        return Err(format!("{context}: snapshot codec round trip failed: {e}"));
     }
+    let checkpointed = checkpointed.ok_or_else(|| format!("{context}: sink halted the run"))?;
+    if &checkpointed != straight {
+        return Err(format!("{context}: capture perturbed the run"));
+    }
+    if snaps.is_empty() {
+        return Err(format!("{context}: no checkpoints captured"));
+    }
+    for (i, snap) in snaps.iter().enumerate() {
+        let resumed = resume_stream_outcome(&mut spec.stream(), snap, config)
+            .map_err(|e| format!("{context}: checkpoint {i}: {e}"))?;
+        if &resumed != straight {
+            return Err(format!("{context}: resume from checkpoint {i} diverged"));
+        }
+    }
+    Ok(1 + snaps.len())
 }
 
 /// Runs the full differential contract on one spec. Returns the number of
@@ -314,84 +335,26 @@ fn check_case(spec: &GrammarSpec, fault: Option<&FaultConfig>) -> Result<usize, 
         }
     }
 
-    // Resume identity on the rotating cell: eager and streaming, every
-    // checkpoint through the binary codec.
+    // Resume identity on the rotating cell, streamed from the generator.
     let context = format!(
         "{} with {} (resume)",
         cell_backend.name(),
         cell_scheduler.name()
     );
-    let straight = simulate(&workload, cell_backend, cell_scheduler, &config);
+    let streamed_straight =
+        simulate_stream(&mut spec.stream(), cell_backend, cell_scheduler, &config);
+    sims += 1;
     let ckpt_config = config
         .clone()
-        .with_checkpoint_every(quarter_interval(&straight));
-    let mut snaps: Vec<Snapshot> = Vec::new();
-    let mut codec_err: Option<String> = None;
-    let checkpointed = simulate_checkpointed(
-        &workload,
+        .with_checkpoint_every(quarter_interval(&streamed_straight));
+    sims += check_resume(
+        spec,
         cell_backend,
         cell_scheduler,
         &ckpt_config,
-        &mut |snap| match Snapshot::from_bytes(&snap.to_bytes()) {
-            Ok(snap) => {
-                snaps.push(snap);
-                true
-            }
-            Err(e) => {
-                codec_err = Some(e.to_string());
-                false
-            }
-        },
-    );
-    if let Some(e) = codec_err {
-        return Err(format!("{context}: snapshot codec round trip failed: {e}"));
-    }
-    let checkpointed = checkpointed.ok_or_else(|| format!("{context}: sink halted the run"))?;
-    sims += 2;
-    if checkpointed != straight {
-        return Err(format!("{context}: capture perturbed the run"));
-    }
-    if snaps.is_empty() {
-        return Err(format!("{context}: no checkpoints captured"));
-    }
-    for (i, snap) in snaps.iter().enumerate() {
-        let resumed = resume(&workload, snap, &ckpt_config)
-            .map_err(|e| format!("{context}: checkpoint {i}: {e}"))?;
-        sims += 1;
-        if resumed != straight {
-            return Err(format!("{context}: resume from checkpoint {i} diverged"));
-        }
-    }
-    let mut stream = spec.stream();
-    let streamed_straight = simulate_stream(&mut stream, cell_backend, cell_scheduler, &config);
-    let mut snaps: Vec<Snapshot> = Vec::new();
-    let mut stream = spec.stream();
-    let streamed_ckpt = simulate_stream_checkpointed(
-        &mut stream,
-        cell_backend,
-        cell_scheduler,
-        &ckpt_config,
-        &mut |snap| {
-            snaps.push(snap);
-            true
-        },
-    )
-    .ok_or_else(|| format!("{context}: streaming sink halted the run"))?;
-    sims += 2;
-    if streamed_ckpt != streamed_straight {
-        return Err(format!("{context}: streaming capture perturbed the run"));
-    }
-    for (i, snap) in snaps.iter().enumerate() {
-        let mut fresh = spec.stream();
-        let resumed = resume_stream(&mut fresh, snap, &ckpt_config)
-            .map_err(|e| format!("{context}: streaming checkpoint {i}: {e}"))?;
-        sims += 1;
-        if resumed != streamed_straight {
-            return Err(format!(
-                "{context}: streaming resume from checkpoint {i} diverged"
-            ));
-        }
-    }
+        &RunOutcome::Completed(streamed_straight.clone()),
+        &context,
+    )?;
 
     // Windowed validity on the rotating cell: a tight master window must
     // still conform and bound residency (identity is not expected — the
@@ -455,17 +418,13 @@ fn check_case(spec: &GrammarSpec, fault: Option<&FaultConfig>) -> Result<usize, 
             cell_scheduler.name()
         );
         let fault_config = config.clone().with_faults(fault.clone());
-        let eager = simulate_outcome(&workload, cell_backend, cell_scheduler, &fault_config);
-        let mut stream = spec.stream();
-        let streamed =
-            simulate_stream_outcome(&mut stream, cell_backend, cell_scheduler, &fault_config);
-        sims += 2;
-        if let Some(field) = outcome_diff(&eager, &streamed) {
-            return Err(format!(
-                "{context}: eager and streaming outcomes diverged on {field}"
-            ));
-        }
-        let report = match &eager {
+        let streamed = simulate_stream_outcome(
+            &mut spec.stream(),
+            cell_backend,
+            cell_scheduler,
+            &fault_config,
+        );
+        let report = match &streamed {
             RunOutcome::Completed(report) => report,
             RunOutcome::Aborted { task, attempts, .. } => {
                 return Err(format!(
@@ -474,6 +433,15 @@ fn check_case(spec: &GrammarSpec, fault: Option<&FaultConfig>) -> Result<usize, 
                 ));
             }
         };
+        // The streaming run completed, so the eager run of the same
+        // schedule completes too unless the drivers diverge.
+        let eager = simulate(&workload, cell_backend, cell_scheduler, &fault_config);
+        sims += 2;
+        if let Some(field) = cross_driver_diff(&eager, report) {
+            return Err(format!(
+                "{context}: eager and streaming diverged on {field}"
+            ));
+        }
         check_golden(&graph, report, &context)?;
         if report.faults_injected != report.retries {
             return Err(format!(
@@ -485,43 +453,14 @@ fn check_case(spec: &GrammarSpec, fault: Option<&FaultConfig>) -> Result<usize, 
         let ckpt_config = fault_config
             .clone()
             .with_checkpoint_every(quarter_interval(report));
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let mut codec_err: Option<String> = None;
-        let checkpointed = simulate_checkpointed_outcome(
-            &workload,
+        sims += check_resume(
+            spec,
             cell_backend,
             cell_scheduler,
             &ckpt_config,
-            &mut |snap| match Snapshot::from_bytes(&snap.to_bytes()) {
-                Ok(snap) => {
-                    snaps.push(snap);
-                    true
-                }
-                Err(e) => {
-                    codec_err = Some(e.to_string());
-                    false
-                }
-            },
-        );
-        if let Some(e) = codec_err {
-            return Err(format!("{context}: snapshot codec round trip failed: {e}"));
-        }
-        let checkpointed = checkpointed.ok_or_else(|| format!("{context}: sink halted the run"))?;
-        sims += 1;
-        if checkpointed != eager {
-            return Err(format!("{context}: capture perturbed the run"));
-        }
-        if snaps.is_empty() {
-            return Err(format!("{context}: no checkpoints captured"));
-        }
-        for (i, snap) in snaps.iter().enumerate() {
-            let resumed = resume_outcome(&workload, snap, &ckpt_config)
-                .map_err(|e| format!("{context}: checkpoint {i}: {e}"))?;
-            sims += 1;
-            if resumed != eager {
-                return Err(format!("{context}: resume from checkpoint {i} diverged"));
-            }
-        }
+            &streamed,
+            &context,
+        )?;
     }
 
     Ok(sims)

@@ -37,7 +37,8 @@
 //!   probability `P` per attempt (see `tdm_runtime::fault`); `--retry-budget
 //!   R` bounds re-issues per task (default 3). The fault configuration is
 //!   persisted in the BENCH section, so `resume` rebuilds the identical
-//!   fault schedule without re-passing the flags.
+//!   fault schedule without re-passing the flags. A run (or resumed run)
+//!   that exhausts a retry budget prints the aborted task and exits 1.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -46,7 +47,8 @@ use std::time::Instant;
 use tdm_bench::cli::{self, Args};
 use tdm_bench::standard_config;
 use tdm_runtime::exec::{
-    resume_stream, simulate, simulate_stream, simulate_stream_checkpointed, Backend, ExecConfig,
+    resume_stream_outcome, simulate, simulate_stream, simulate_stream_checkpointed_outcome,
+    Backend, ExecConfig, RunOutcome, RunReport,
 };
 use tdm_runtime::fault::FaultConfig;
 use tdm_runtime::scheduler::SchedulerKind;
@@ -180,6 +182,17 @@ fn bench_section(bench: Benchmark, options: &Options) -> Vec<u8> {
     out
 }
 
+/// The completed run's report, or the abort as an error naming the task
+/// that exhausted its retry budget.
+fn completed(outcome: RunOutcome) -> Result<RunReport, String> {
+    match outcome {
+        RunOutcome::Completed(report) => Ok(report),
+        RunOutcome::Aborted { task, attempts, .. } => Err(format!(
+            "run aborted: {task} exhausted its retry budget after {attempts} failed attempts"
+        )),
+    }
+}
+
 /// One scaled streaming run; returns `(tasks, peak_resident, tasks_per_sec,
 /// makespan, faults, retries)`, or `Ok(None)` when `--halt-after` stopped
 /// the run at a checkpoint.
@@ -191,46 +204,41 @@ fn scaled_run(
 ) -> Result<Option<(u64, usize, f64, u64, u64, u64)>, String> {
     let mut stream = bench.scaled_stream(options.tasks);
     let start = Instant::now();
-    let report = if config.checkpoint_every.is_some() {
-        let extra = bench_section(bench, options);
-        let mut count = 0usize;
-        let mut sink_error: Option<String> = None;
-        let outcome = simulate_stream_checkpointed(
-            &mut stream,
-            &options.backend,
-            SchedulerKind::Fifo,
-            config,
-            &mut |mut snap| {
-                count += 1;
-                snap.add_section(section::BENCH, extra.clone());
-                if let Err(e) = snap.write_to(Path::new(&options.checkpoint_file)) {
-                    sink_error = Some(e.to_string());
-                    return false;
-                }
-                match options.halt_after {
-                    Some(k) => count < k,
-                    None => true,
-                }
-            },
-        );
-        if let Some(e) = sink_error {
-            return Err(e);
-        }
-        match outcome {
-            Some(report) => report,
-            None => {
-                println!(
-                    "halted {} at checkpoint {count}; resume with: bench_scale resume \
-                     --checkpoint-file {}",
-                    bench.name(),
-                    options.checkpoint_file
-                );
-                return Ok(None);
+    // Without `--checkpoint-every` the sink is never called.
+    let extra = bench_section(bench, options);
+    let mut count = 0usize;
+    let mut sink_error: Option<String> = None;
+    let outcome = simulate_stream_checkpointed_outcome(
+        &mut stream,
+        &options.backend,
+        SchedulerKind::Fifo,
+        config,
+        &mut |mut snap| {
+            count += 1;
+            snap.add_section(section::BENCH, extra.clone());
+            if let Err(e) = snap.write_to(Path::new(&options.checkpoint_file)) {
+                sink_error = Some(e.to_string());
+                return false;
             }
-        }
-    } else {
-        simulate_stream(&mut stream, &options.backend, SchedulerKind::Fifo, config)
+            match options.halt_after {
+                Some(k) => count < k,
+                None => true,
+            }
+        },
+    );
+    if let Some(e) = sink_error {
+        return Err(e);
+    }
+    let Some(outcome) = outcome else {
+        println!(
+            "halted {} at checkpoint {count}; resume with: bench_scale resume \
+             --checkpoint-file {}",
+            bench.name(),
+            options.checkpoint_file
+        );
+        return Ok(None);
     };
+    let report = completed(outcome)?;
     let wall = start.elapsed().as_secs_f64();
     Ok(Some((
         report.tasks,
@@ -353,9 +361,8 @@ fn verify() -> ExitCode {
                 bench.software_stream()
             };
             let streamed = simulate_stream(&mut stream, &backend, SchedulerKind::Fifo, &config);
-            let accesses = |r: &tdm_runtime::exec::RunReport| {
-                r.hardware.as_ref().map_or(0, |hw| hw.stats.total_accesses)
-            };
+            let accesses =
+                |r: &RunReport| r.hardware.as_ref().map_or(0, |hw| hw.stats.total_accesses);
             let identical = eager.makespan() == streamed.makespan()
                 && eager.tasks == streamed.tasks
                 && eager.stats == streamed.stats
@@ -416,7 +423,8 @@ fn resume_mode(checkpoint_file: &str, verify_against_straight: bool) -> Result<E
     };
     let mut stream = bench.scaled_stream(tasks);
     let start = Instant::now();
-    let report = resume_stream(&mut stream, &snap, &config).map_err(|e| e.to_string())?;
+    let outcome = resume_stream_outcome(&mut stream, &snap, &config).map_err(|e| e.to_string())?;
+    let report = completed(outcome)?;
     let wall = start.elapsed().as_secs_f64();
     println!(
         "resumed {} from {}: {} tasks total, makespan {} cycles, {:.0} tasks/sec \

@@ -1,6 +1,6 @@
 //! Shared command-line parsing for the bench binaries.
 //!
-//! `bench_baseline`, `bench_scale`, `bench_sweep` and `bench_events` all
+//! `bench_baseline`, `bench_scale`, `bench_sweep` and `bench_fuzz` all
 //! take the same shapes of arguments — `--flag value` pairs, comma-separated
 //! axis lists, benchmark/backend/scheduler names — and each used to carry
 //! its own copy of the parsing loop. The shared pieces live here instead;

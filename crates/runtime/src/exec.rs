@@ -190,14 +190,16 @@ pub struct ExecConfig {
     /// running both and comparing. Off (batched) by default.
     pub per_op_dmu: bool,
     /// Capture a checkpoint [`Snapshot`] every this many cycles of simulated
-    /// time, when running through [`simulate_checkpointed`] /
-    /// [`simulate_stream_checkpointed`]. `None` (the default) disables
-    /// periodic capture; the plain [`simulate`] / [`simulate_stream`] entry
-    /// points ignore the knob entirely. Deliberately **not** part of the
-    /// resume-compatibility fingerprint: a resumed run may checkpoint on a
-    /// different cadence (or not at all) — capture never affects modeled
-    /// time, so the reports stay bit-identical either way (see
-    /// `SNAPSHOT_FORMAT.md`).
+    /// time, when running through [`simulate_stream_checkpointed_outcome`].
+    /// `None` (the default) disables periodic capture; every other entry
+    /// point ignores the knob entirely. To checkpoint a materialised
+    /// [`Workload`], stream it through a [`WorkloadSource`]. Deliberately
+    /// **not** part of the resume-compatibility fingerprint: a resumed run
+    /// may checkpoint on a different cadence (or not at all) — capture never
+    /// affects modeled time, so the reports stay bit-identical either way
+    /// (see `SNAPSHOT_FORMAT.md`).
+    ///
+    /// [`WorkloadSource`]: crate::stream::WorkloadSource
     pub checkpoint_every: Option<Cycle>,
     /// Deterministic fault injection ([`crate::fault`]): seeded transient
     /// task failures with bounded retry, plus sticky core faults that retire
@@ -261,8 +263,8 @@ impl ExecConfig {
     }
 
     /// Same configuration with periodic checkpointing every `every` cycles
-    /// (see [`checkpoint_every`](ExecConfig::checkpoint_every)). Only the
-    /// `*_checkpointed` entry points act on it.
+    /// (see [`checkpoint_every`](ExecConfig::checkpoint_every)). Only
+    /// [`simulate_stream_checkpointed_outcome`] acts on it.
     pub fn with_checkpoint_every(mut self, every: Cycle) -> Self {
         self.checkpoint_every = Some(every);
         self
@@ -411,8 +413,9 @@ impl RunReport {
 /// phase breakdown and counter accumulated up to the abort point, with the
 /// makespan covering the work done so far — a production runtime would
 /// surface exactly this to its caller. Runs without fault injection can
-/// never abort, which is why the classic entry points ([`simulate`] and
-/// friends) keep returning a bare [`RunReport`].
+/// never abort, which is why [`simulate`] and [`simulate_stream`] keep
+/// returning a bare [`RunReport`]; the streaming `*_outcome` entry points
+/// return this type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunOutcome {
     /// Every created task finished; the report is final.
@@ -451,15 +454,16 @@ impl RunOutcome {
     }
 }
 
-/// Unwraps a completed outcome for the classic entry points, which predate
-/// fault injection and cannot observe an abort (aborts require
-/// [`ExecConfig::fault`], whose users call the `*_outcome` variants).
+/// Unwraps a completed outcome for [`simulate`] and [`simulate_stream`],
+/// which predate fault injection and cannot report an abort (aborts require
+/// [`ExecConfig::fault`], whose users call [`simulate_stream_outcome`]).
 fn completed_or_panic(outcome: RunOutcome) -> RunReport {
     match outcome {
         RunOutcome::Completed(report) => report,
         RunOutcome::Aborted { task, attempts, .. } => panic!(
             "run aborted: {task} exhausted its retry budget after {attempts} failed attempts — \
-             call the *_outcome entry point to receive RunOutcome::Aborted instead"
+             call simulate_stream_outcome (wrap a Workload in WorkloadSource) to receive \
+             RunOutcome::Aborted instead"
         ),
     }
 }
@@ -492,15 +496,17 @@ trait TaskFeed {
     /// Specs currently held resident.
     fn resident(&self) -> usize;
     /// Serialises the feed's restorable state for the FEED snapshot section
-    /// (first byte is the feed-kind tag), or `None` if the underlying source
-    /// cannot be checkpointed (it reports no
-    /// [`TaskSource::checkpoint_cursor`]).
-    fn save_state(&self) -> Option<Vec<u8>>;
+    /// (first byte is the feed-kind tag), or `None` if the feed cannot be
+    /// checkpointed: eager runs never are, and a stream whose source reports
+    /// no [`TaskSource::checkpoint_cursor`] cannot be.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        None
+    }
 }
 
-/// FEED-section tag: the run was driven by an eager, materialised workload.
-const FEED_EAGER: u8 = 0;
-/// FEED-section tag: the run was driven by a pull-based streaming source.
+/// FEED-section and `META.feed_kind` tag of a streaming run, the only kind
+/// checkpointed. The value is part of format version 2, so it stays 1; any
+/// other tag (0 was the eager kind) is refused on load.
 const FEED_STREAM: u8 = 1;
 
 /// Feed over a fully materialised workload: specs are borrowed in place and
@@ -543,12 +549,6 @@ impl TaskFeed for EagerFeed<'_> {
     fn resident(&self) -> usize {
         self.workload.len()
     }
-
-    // The workload is the caller's: a checkpoint only needs to record that
-    // this was an eager run (resume borrows the same workload again).
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(vec![FEED_EAGER])
-    }
 }
 
 /// Feed over a pull-based source: holds the specs of in-flight tasks plus
@@ -587,8 +587,8 @@ impl<'a, S: TaskSource + ?Sized> StreamFeed<'a, S> {
         if tag != FEED_STREAM {
             return Err(SnapshotError::Corrupt {
                 context: format!(
-                    "FEED section carries feed-kind tag {tag}, not a streaming run — \
-                     resume this snapshot with `resume`, not `resume_stream`"
+                    "FEED section carries feed-kind tag {tag}, not the streaming tag \
+                     {FEED_STREAM}"
                 ),
             });
         }
@@ -725,37 +725,26 @@ impl<S: TaskSource + ?Sized> TaskFeed for StreamFeed<'_, S> {
 /// Simulates `workload` on `backend` with the given scheduling policy.
 ///
 /// Hardware-scheduled backends (Carbon, Task Superscalar) ignore `scheduler`
-/// and use their fixed FIFO queue.
+/// and use their fixed FIFO queue. The workload's specs are borrowed in
+/// place, never cloned. A caller that needs a checkpoint, a resume or a
+/// typed abort streams the workload instead: wrap it in a
+/// [`WorkloadSource`](crate::stream::WorkloadSource) and call the streaming
+/// entry points, which report the same modeled results (only
+/// [`RunReport::peak_resident_tasks`] differs).
 ///
 /// # Panics
 ///
 /// Panics if the simulation deadlocks, which would indicate a bug in a
 /// dependence engine (the workload graphs are acyclic by construction), or
-/// if fault injection aborts the run (use [`simulate_outcome`] to receive
-/// [`RunOutcome::Aborted`] instead).
+/// if fault injection aborts the run (use [`simulate_stream_outcome`] to
+/// receive [`RunOutcome::Aborted`] instead).
 pub fn simulate(
     workload: &Workload,
     backend: &Backend,
     scheduler: SchedulerKind,
     config: &ExecConfig,
 ) -> RunReport {
-    completed_or_panic(simulate_outcome(workload, backend, scheduler, config))
-}
-
-/// Like [`simulate`], but surfaces retry-budget exhaustion as a typed
-/// [`RunOutcome::Aborted`] instead of a panic. Without
-/// [`ExecConfig::fault`] the outcome is always `Completed`.
-///
-/// # Panics
-///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn simulate_outcome(
-    workload: &Workload,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-    config: &ExecConfig,
-) -> RunOutcome {
-    run_core(
+    let outcome = run_core(
         EagerFeed { workload },
         backend,
         scheduler,
@@ -764,7 +753,8 @@ pub fn simulate_outcome(
         None,
     )
     .expect("a run without restore cannot fail")
-    .expect("a run without a checkpoint sink cannot halt")
+    .expect("a run without a checkpoint sink cannot halt");
+    completed_or_panic(outcome)
 }
 
 /// Simulates the tasks produced by `source` on `backend`, creating them
@@ -791,7 +781,8 @@ pub fn simulate_stream<S: TaskSource + ?Sized>(
 }
 
 /// Like [`simulate_stream`], but surfaces retry-budget exhaustion as a typed
-/// [`RunOutcome::Aborted`] instead of a panic.
+/// [`RunOutcome::Aborted`] instead of a panic. Without
+/// [`ExecConfig::fault`] the outcome is always `Completed`.
 ///
 /// # Panics
 ///
@@ -814,90 +805,27 @@ pub fn simulate_stream_outcome<S: TaskSource + ?Sized>(
     .expect("a run without a checkpoint sink cannot halt")
 }
 
-/// Runs `workload` like [`simulate`], additionally capturing a [`Snapshot`]
-/// of the full mid-run state every [`ExecConfig::checkpoint_every`] cycles
-/// and handing each one to `sink`.
+/// Runs `source` like [`simulate_stream_outcome`], additionally capturing a
+/// [`Snapshot`] of the full mid-run state every
+/// [`ExecConfig::checkpoint_every`] cycles and handing each one to `sink`.
 ///
 /// `sink` returns `true` to keep running or `false` to halt the run at that
 /// checkpoint; a halted run returns `None` (the snapshot the sink just
-/// received is the resume point). If `checkpoint_every` is unset the sink is
-/// never called and the run completes normally. Capture never affects
-/// modeled time: a checkpointed run's report is bit-identical to a plain
-/// [`simulate`] run's.
+/// received is the resume point for [`resume_stream_outcome`]). If
+/// `checkpoint_every` is unset the sink is never called and the run
+/// completes normally. Capture never affects modeled time: a checkpointed
+/// run's outcome is bit-identical to a plain [`simulate_stream_outcome`]
+/// run's.
 ///
-/// # Panics
-///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn simulate_checkpointed(
-    workload: &Workload,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-    config: &ExecConfig,
-    sink: &mut dyn FnMut(Snapshot) -> bool,
-) -> Option<RunReport> {
-    simulate_checkpointed_outcome(workload, backend, scheduler, config, sink)
-        .map(completed_or_panic)
-}
-
-/// Like [`simulate_checkpointed`], but surfaces retry-budget exhaustion as a
-/// typed [`RunOutcome::Aborted`] instead of a panic.
-///
-/// # Panics
-///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn simulate_checkpointed_outcome(
-    workload: &Workload,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-    config: &ExecConfig,
-    sink: &mut dyn FnMut(Snapshot) -> bool,
-) -> Option<RunOutcome> {
-    let ctl = config.checkpoint_every.map(|every| CheckpointCtl {
-        every,
-        next_at: every,
-        sink,
-    });
-    run_core(
-        EagerFeed { workload },
-        backend,
-        scheduler,
-        config,
-        None,
-        ctl,
-    )
-    .expect("eager feeds are always checkpointable")
-}
-
-/// Runs `source` like [`simulate_stream`], additionally capturing a
-/// [`Snapshot`] every [`ExecConfig::checkpoint_every`] cycles (see
-/// [`simulate_checkpointed`] for the sink contract).
-///
-/// Streaming checkpoints store the source's production cursor
+/// Snapshots store the source's production cursor
 /// ([`TaskSource::checkpoint_cursor`]) plus the bounded in-flight window —
-/// never the unproduced remainder of the stream — so snapshots stay
-/// O(window) regardless of how many tasks are still to come.
+/// never the unproduced remainder of the stream — so they stay O(window)
+/// regardless of how many tasks are still to come.
 ///
 /// # Panics
 ///
 /// Panics if checkpointing is enabled but `source` reports no checkpoint
 /// cursor, and on dependence-engine deadlock (see [`simulate`]).
-pub fn simulate_stream_checkpointed<S: TaskSource + ?Sized>(
-    source: &mut S,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-    config: &ExecConfig,
-    sink: &mut dyn FnMut(Snapshot) -> bool,
-) -> Option<RunReport> {
-    simulate_stream_checkpointed_outcome(source, backend, scheduler, config, sink)
-        .map(completed_or_panic)
-}
-
-/// Like [`simulate_stream_checkpointed`], but surfaces retry-budget
-/// exhaustion as a typed [`RunOutcome::Aborted`] instead of a panic.
-///
-/// # Panics
-///
-/// As for [`simulate_stream_checkpointed`], minus the abort panic.
 pub fn simulate_stream_checkpointed_outcome<S: TaskSource + ?Sized>(
     source: &mut S,
     backend: &Backend,
@@ -926,77 +854,20 @@ pub fn simulate_stream_checkpointed_outcome<S: TaskSource + ?Sized>(
     .expect("source cursor support was checked above")
 }
 
-/// Resumes an eager-workload run from `snapshot`, driving it to completion.
-///
-/// `workload` and `config` must match what the checkpointed run used: the
-/// snapshot's META section carries the run identity and a configuration
-/// fingerprint, both validated before any state is reinstated, and the
-/// backend and scheduler are rebuilt from it — a snapshot can never be
-/// resumed under different semantics than it was taken under. Resuming is
-/// bit-exact: the returned [`RunReport`] is identical to the report of an
-/// uninterrupted run (the snapshot conformance suite pins this across the
-/// full backend × scheduler matrix).
-///
-/// # Panics
-///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn resume(
-    workload: &Workload,
-    snapshot: &Snapshot,
-    config: &ExecConfig,
-) -> Result<RunReport, SnapshotError> {
-    resume_outcome(workload, snapshot, config).map(completed_or_panic)
-}
-
-/// Like [`resume`], but surfaces retry-budget exhaustion as a typed
-/// [`RunOutcome::Aborted`] instead of a panic.
-///
-/// # Panics
-///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn resume_outcome(
-    workload: &Workload,
-    snapshot: &Snapshot,
-    config: &ExecConfig,
-) -> Result<RunOutcome, SnapshotError> {
-    let meta = RunMeta::from_snapshot(snapshot)?;
-    meta.validate(FEED_EAGER, &workload.name, config)?;
-    // The eager FEED payload is just the kind tag; check it is well-formed.
-    let mut r = Reader::new(snapshot.section(section::FEED)?);
-    let _tag = u8::load(&mut r)?;
-    r.expect_end("FEED")?;
-    let outcome = run_core(
-        EagerFeed { workload },
-        &meta.backend,
-        meta.scheduler,
-        config,
-        Some(snapshot),
-        None,
-    )?;
-    Ok(outcome.expect("resumed runs have no checkpoint sink and cannot halt"))
-}
-
 /// Resumes a streaming run from `snapshot`, driving it to completion.
 ///
 /// `source` must be a *freshly built* instance of the stream the
 /// checkpointed run was consuming: it is fast-forwarded to the snapshot's
 /// production cursor via [`TaskSource::resume_at`], so the stream is
-/// regenerated rather than stored. Validation and bit-exactness are as for
-/// [`resume`].
-///
-/// # Panics
-///
-/// Panics on dependence-engine deadlock (see [`simulate`]).
-pub fn resume_stream<S: TaskSource + ?Sized>(
-    source: &mut S,
-    snapshot: &Snapshot,
-    config: &ExecConfig,
-) -> Result<RunReport, SnapshotError> {
-    resume_stream_outcome(source, snapshot, config).map(completed_or_panic)
-}
-
-/// Like [`resume_stream`], but surfaces retry-budget exhaustion as a typed
-/// [`RunOutcome::Aborted`] instead of a panic.
+/// regenerated rather than stored. `config` must match what the
+/// checkpointed run used: the snapshot's META section carries the run
+/// identity and a configuration fingerprint, both validated before any
+/// state is reinstated, and the backend and scheduler are rebuilt from it —
+/// a snapshot can never be resumed under different semantics than it was
+/// taken under. A snapshot that is not a streaming run's is refused with
+/// [`SnapshotError::Corrupt`]. Resuming is bit-exact: the returned outcome
+/// is identical to an uninterrupted run's (the snapshot conformance suite
+/// pins this across the full backend × scheduler matrix).
 ///
 /// # Panics
 ///
@@ -1007,7 +878,7 @@ pub fn resume_stream_outcome<S: TaskSource + ?Sized>(
     config: &ExecConfig,
 ) -> Result<RunOutcome, SnapshotError> {
     let meta = RunMeta::from_snapshot(snapshot)?;
-    meta.validate(FEED_STREAM, source.name(), config)?;
+    meta.validate(source.name(), config)?;
     let feed = StreamFeed::restore(source, snapshot.section(section::FEED)?)?;
     let outcome = run_core(
         feed,
@@ -1095,8 +966,9 @@ impl BlockSets {
 
 /// Periodic capture control threaded into [`run_core`]: when simulated time
 /// reaches `next_at`, the driver assembles a [`Snapshot`] and hands it to
-/// `sink`; a `false` return halts the run (the checkpointed entry points
-/// then return `None` instead of a report).
+/// `sink`; a `false` return halts the run
+/// ([`simulate_stream_checkpointed_outcome`] then returns `None` instead of
+/// an outcome).
 struct CheckpointCtl<'a> {
     every: Cycle,
     next_at: Cycle,
@@ -1313,38 +1185,51 @@ fn run_core<F: TaskFeed>(
         // detection latency), standing in for the finish-cost path below.
         let mut master_fail_cost: Option<Cycle> = None;
 
+        // Files one batch event's completion, if `core` was running a task:
+        // a failure takes the engine's failure path at once, a finish waits
+        // for the next `finish_batch`. Returns the failure cost, if any.
+        let mut file_completion = |core: usize,
+                                   engine: &mut dyn DependenceEngine,
+                                   fin_tasks: &mut Vec<(TaskRef, usize)>|
+         -> Option<Cycle> {
+            if core == RETRY_EVENT {
+                return None;
+            }
+            let rt = running[core].take()?;
+            // Completion boundary: decide transient failure (the task's
+            // result is lost, it must re-run) and sticky core retirement
+            // (this completion is the core's last). Both are pure draws
+            // keyed on stable identities, so the decisions are identical
+            // across backends, schedulers and resume.
+            let completion = fault_state.record_completion(core);
+            let failed = fault_plan
+                .as_ref()
+                .is_some_and(|plan| plan.should_fail(rt.task, fault_state.failure_count(rt.task)));
+            let fail_cost = if failed {
+                let cost = engine.fail_task(now, rt.task, core);
+                fail_events.push((rt, core, cost));
+                Some(cost)
+            } else {
+                fin_tasks.push((rt.task, core));
+                None
+            };
+            if let Some(plan) = &fault_plan {
+                if core != master && plan.should_retire(core, completion) {
+                    fault_state.retire(core);
+                }
+            }
+            fail_cost
+        };
         let master_pos = batch.iter().position(|&c| c == master);
         let split = master_pos.map_or(batch.len(), |pos| pos + 1);
         for &core in &batch[..split] {
-            if core == RETRY_EVENT {
-                continue;
-            }
-            if let Some(rt) = running[core].take() {
-                // Completion boundary: decide transient failure (the task's
-                // result is lost, it must re-run) and sticky core retirement
-                // (this completion is the core's last). Both are pure draws
-                // keyed on stable identities, so the decisions are identical
-                // across backends, schedulers and resume.
-                let completion = fault_state.record_completion(core);
-                let failed = fault_plan.as_ref().is_some_and(|plan| {
-                    plan.should_fail(rt.task, fault_state.failure_count(rt.task))
-                });
-                if failed {
-                    let cost = engine.fail_task(now, rt.task, core);
-                    if core == master {
-                        let detect = fault_plan
-                            .as_ref()
-                            .map_or(Cycle::ZERO, |plan| plan.config().detect_cost);
-                        master_fail_cost = Some(cost + detect);
-                    }
-                    fail_events.push((rt, core, cost));
-                } else {
-                    fin_tasks.push((rt.task, core));
-                }
-                if let Some(plan) = &fault_plan {
-                    if core != master && plan.should_retire(core, completion) {
-                        fault_state.retire(core);
-                    }
+            let fail_cost = file_completion(core, &mut *engine, &mut fin_tasks);
+            if core == master {
+                if let Some(cost) = fail_cost {
+                    let detect = fault_plan
+                        .as_ref()
+                        .map_or(Cycle::ZERO, |plan| plan.config().detect_cost);
+                    master_fail_cost = Some(cost + detect);
                 }
             }
         }
@@ -1399,26 +1284,7 @@ fn run_core<F: TaskFeed>(
             }
             let before = fin_tasks.len();
             for &core in &batch[split..] {
-                if core == RETRY_EVENT {
-                    continue;
-                }
-                if let Some(rt) = running[core].take() {
-                    let completion = fault_state.record_completion(core);
-                    let failed = fault_plan.as_ref().is_some_and(|plan| {
-                        plan.should_fail(rt.task, fault_state.failure_count(rt.task))
-                    });
-                    if failed {
-                        let cost = engine.fail_task(now, rt.task, core);
-                        fail_events.push((rt, core, cost));
-                    } else {
-                        fin_tasks.push((rt.task, core));
-                    }
-                    if let Some(plan) = &fault_plan {
-                        if plan.should_retire(core, completion) {
-                            fault_state.retire(core);
-                        }
-                    }
-                }
+                file_completion(core, &mut *engine, &mut fin_tasks);
             }
             engine.finish_batch(
                 now,
@@ -1748,7 +1614,7 @@ fn capture_snapshot<F: TaskFeed>(
         .save_state()
         .expect("checkpointing requires a source with a checkpoint cursor");
     let meta = RunMeta {
-        feed_kind: feed_state[0],
+        feed_kind: FEED_STREAM,
         workload: feed.name().to_string(),
         backend: backend.clone(),
         scheduler,
@@ -1954,24 +1820,16 @@ impl RunMeta {
         snapshot::from_payload(snap.section(section::META)?, "META")
     }
 
-    /// Checks that the resuming entry point, workload and configuration
-    /// match what the snapshot was taken under. Every mismatch is its own
-    /// actionable error — the operator learns *which* knob diverged.
-    fn validate(
-        &self,
-        feed_kind: u8,
-        workload: &str,
-        config: &ExecConfig,
-    ) -> Result<(), SnapshotError> {
+    /// Checks that the snapshot is a streaming run's and that the resuming
+    /// workload and configuration match what it was taken under. Every
+    /// mismatch is its own actionable error — the operator learns *which*
+    /// knob diverged.
+    fn validate(&self, workload: &str, config: &ExecConfig) -> Result<(), SnapshotError> {
         let fail = |context: String| Err(SnapshotError::Corrupt { context });
-        if self.feed_kind != feed_kind {
-            let (taken, resume_with) = if self.feed_kind == FEED_STREAM {
-                ("a streaming run", "resume_stream")
-            } else {
-                ("an eager run", "resume")
-            };
+        if self.feed_kind != FEED_STREAM {
             return fail(format!(
-                "snapshot was taken by {taken} — resume it with `{resume_with}`"
+                "META records feed kind {}, not the streaming kind {FEED_STREAM}",
+                self.feed_kind
             ));
         }
         if self.workload != workload {
@@ -2006,7 +1864,9 @@ impl RunMeta {
                 self.trace_schedule, config.trace_schedule
             ));
         }
-        if self.window != config.window as u64 {
+        // Window 0 behaves exactly like 1 (see `ExecConfig::window`), and
+        // `with_window(0)` stores 1 while a direct assignment keeps 0.
+        if self.window.max(1) != (config.window as u64).max(1) {
             return fail(format!(
                 "snapshot was taken with window {} but the resuming config has \
                  window {}",
@@ -2418,6 +2278,29 @@ mod tests {
         assert_eq!(ExecConfig::default().window, usize::MAX);
     }
 
+    /// Streams `w` with checkpoint capture on, returning the run's outcome
+    /// and every snapshot after a round trip through the binary container.
+    fn stream_checkpoints(
+        w: &Workload,
+        backend: &Backend,
+        scheduler: SchedulerKind,
+        config: &ExecConfig,
+    ) -> (RunOutcome, Vec<Snapshot>) {
+        let mut snaps = Vec::new();
+        let outcome = simulate_stream_checkpointed_outcome(
+            &mut WorkloadSource::new(w),
+            backend,
+            scheduler,
+            config,
+            &mut |snap| {
+                snaps.push(Snapshot::from_bytes(&snap.to_bytes()).unwrap());
+                true
+            },
+        )
+        .expect("sink never halts");
+        (outcome, snaps)
+    }
+
     #[test]
     fn checkpointed_run_matches_plain_run_and_resumes_bit_exact() {
         let mut w = chains_workload(6, 8, 25.0);
@@ -2426,29 +2309,23 @@ mod tests {
         let config = small_chip(6)
             .with_trace_schedule()
             .with_checkpoint_every(chip.micros(40.0));
-        let straight = simulate(&w, &Backend::tdm_default(), SchedulerKind::Age, &config);
-
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let report = simulate_checkpointed(
-            &w,
+        let straight = simulate_stream_outcome(
+            &mut WorkloadSource::new(&w),
             &Backend::tdm_default(),
             SchedulerKind::Age,
             &config,
-            &mut |snap| {
-                snaps.push(snap);
-                true
-            },
-        )
-        .expect("sink never halts");
+        );
+
+        let (outcome, snaps) =
+            stream_checkpoints(&w, &Backend::tdm_default(), SchedulerKind::Age, &config);
         // Capture never perturbs modeled time.
-        assert_eq!(report, straight);
+        assert_eq!(outcome, straight);
         assert!(snaps.len() >= 2, "expected several checkpoints");
 
-        // Resuming from every checkpoint reproduces the uninterrupted report,
-        // including a round trip through the binary container.
+        // Resuming from every checkpoint reproduces the uninterrupted run.
         for snap in &snaps {
-            let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-            let resumed = resume(&w, &snap, &config).unwrap();
+            let mut fresh = WorkloadSource::new(&w);
+            let resumed = resume_stream_outcome(&mut fresh, snap, &config).unwrap();
             assert_eq!(resumed, straight);
         }
     }
@@ -2464,7 +2341,7 @@ mod tests {
             .with_checkpoint_every(chip.micros(120.0));
 
         let mut source = WorkloadSource::new(&w);
-        let straight = simulate_stream(
+        let straight = simulate_stream_outcome(
             &mut source,
             &Backend::tdm_default(),
             SchedulerKind::Fifo,
@@ -2475,7 +2352,7 @@ mod tests {
         let mut halted_at: Option<Snapshot> = None;
         let mut seen = 0usize;
         let mut source = WorkloadSource::new(&w);
-        let outcome = simulate_stream_checkpointed(
+        let outcome = simulate_stream_checkpointed_outcome(
             &mut source,
             &Backend::tdm_default(),
             SchedulerKind::Fifo,
@@ -2495,54 +2372,62 @@ mod tests {
 
         // A *fresh* source is fast-forwarded to the snapshot's cursor.
         let mut fresh = WorkloadSource::new(&w);
-        let resumed = resume_stream(&mut fresh, &snap, &config).unwrap();
+        let resumed = resume_stream_outcome(&mut fresh, &snap, &config).unwrap();
         assert_eq!(resumed, straight);
     }
 
     #[test]
-    fn resume_rejects_mismatched_config_and_wrong_entry_point() {
+    fn resume_rejects_mismatched_config_and_non_stream_feed_kinds() {
         let w = chains_workload(3, 6, 20.0);
         let chip = ChipConfig::default();
         let config = small_chip(4).with_checkpoint_every(chip.micros(50.0));
-        let mut snaps = Vec::new();
-        simulate_checkpointed(
-            &w,
-            &Backend::tdm_default(),
-            SchedulerKind::Fifo,
-            &config,
-            &mut |snap| {
-                snaps.push(snap);
-                true
-            },
-        )
-        .unwrap();
+        let (_, snaps) =
+            stream_checkpoints(&w, &Backend::tdm_default(), SchedulerKind::Fifo, &config);
         let snap = &snaps[0];
+        let refusal = |w: &Workload, snap: &Snapshot, config: &ExecConfig| {
+            resume_stream_outcome(&mut WorkloadSource::new(w), snap, config).unwrap_err()
+        };
 
         // Different seed: refused with an error naming the knob.
         let mut other = config.clone();
         other.seed = 7;
-        let err = resume(&w, snap, &other).unwrap_err();
+        let err = refusal(&w, snap, &other);
         assert!(err.to_string().contains("seed"), "{err}");
 
         // Different core count.
-        let err = resume(
+        let err = refusal(
             &w,
             snap,
             &small_chip(8).with_checkpoint_every(chip.micros(50.0)),
-        )
-        .unwrap_err();
+        );
         assert!(err.to_string().contains("cores"), "{err}");
 
         // Different workload name.
         let mut renamed = w.clone();
         renamed.name = "other".to_string();
-        let err = resume(&renamed, snap, &config).unwrap_err();
+        let err = refusal(&renamed, snap, &config);
         assert!(err.to_string().contains("workload"), "{err}");
 
-        // Eager snapshot through the streaming entry point.
-        let mut source = WorkloadSource::new(&w);
-        let err = resume_stream(&mut source, snap, &config).unwrap_err();
-        assert!(err.to_string().contains("eager"), "{err}");
+        // Hostile bytes: feed kind 0, the retired eager kind, written into
+        // META's `feed_kind` or into the FEED tag (each is its section's
+        // first byte) of an otherwise valid container.
+        for id in [section::META, section::FEED] {
+            let mut hostile = Snapshot::new();
+            for sid in snap.section_ids() {
+                let mut payload = snap.section(sid).unwrap().to_vec();
+                if sid == id {
+                    payload[0] = 0;
+                }
+                hostile.add_section(sid, payload);
+            }
+            let hostile = Snapshot::from_bytes(&hostile.to_bytes()).unwrap();
+            let err = refusal(&w, &hostile, &config);
+            assert!(
+                matches!(err, SnapshotError::Corrupt { .. }),
+                "section {id:#04x}: {err}"
+            );
+            assert!(err.to_string().contains("kind"), "section {id:#04x}: {err}");
+        }
     }
 
     #[test]
@@ -2551,8 +2436,8 @@ mod tests {
         let config = small_chip(4);
         assert_eq!(config.checkpoint_every, None);
         let mut calls = 0usize;
-        let report = simulate_checkpointed(
-            &w,
+        let outcome = simulate_stream_checkpointed_outcome(
+            &mut WorkloadSource::new(&w),
             &Backend::Software,
             SchedulerKind::Fifo,
             &config,
@@ -2563,7 +2448,32 @@ mod tests {
         )
         .unwrap();
         assert_eq!(calls, 0);
-        assert_eq!(report.tasks, 10);
+        assert_eq!(outcome.report().tasks, 10);
+    }
+
+    #[test]
+    fn window_zero_snapshot_resumes_under_with_window_zero() {
+        // A directly assigned `window = 0` and `with_window(0)` (which
+        // stores 1) both mean window 1, so a snapshot taken under either
+        // resumes under the other, bit for bit.
+        let w = chains_workload(3, 8, 20.0);
+        let chip = ChipConfig::default();
+        let mut direct = small_chip(4).with_checkpoint_every(chip.micros(50.0));
+        direct.window = 0;
+        let clamped = small_chip(4)
+            .with_checkpoint_every(chip.micros(50.0))
+            .with_window(0);
+        assert_eq!((direct.window, clamped.window), (0, 1));
+        for (taken, resumed_with) in [(&direct, &clamped), (&clamped, &direct)] {
+            let (straight, snaps) =
+                stream_checkpoints(&w, &Backend::tdm_default(), SchedulerKind::Fifo, taken);
+            assert!(!snaps.is_empty(), "no checkpoints captured");
+            for snap in &snaps {
+                let mut fresh = WorkloadSource::new(&w);
+                let resumed = resume_stream_outcome(&mut fresh, snap, resumed_with).unwrap();
+                assert_eq!(resumed, straight);
+            }
+        }
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub mod trace;
 pub use cost::CostModel;
 pub use engine::{DependenceEngine, HardwareEngine, HardwareFlavor, SoftwareEngine};
 pub use exec::{
-    simulate, simulate_outcome, simulate_stream, simulate_stream_outcome, Backend, ExecConfig,
-    RunOutcome, RunReport, ScheduledTask,
+    simulate, simulate_stream, simulate_stream_outcome, Backend, ExecConfig, RunOutcome, RunReport,
+    ScheduledTask,
 };
 pub use fault::{FaultConfig, FaultPlan, FaultState};
 pub use scheduler::{ReadyEntry, Scheduler, SchedulerKind};

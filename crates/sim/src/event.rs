@@ -17,19 +17,16 @@
 //!   is structural (per-bucket intrusive lists), not a per-event sequence
 //!   comparison. [`EventQueue`] is an alias for it; this is what the
 //!   execution driver runs on.
-//! * [`NaiveEventQueue`] — the retired `BinaryHeap` queue, ordered by
-//!   `(time, insertion seq)`, kept as the obviously-correct reference. The
-//!   lockstep-randomized suite at the bottom of this module drives both
-//!   through the same seeded schedule/pop interleavings (heavy same-cycle
-//!   ties, cascade-boundary and `Cycle::MAX`-adjacent times included) and
-//!   demands identical timelines.
+//! * `NaiveEventQueue` — the retired `BinaryHeap` queue, ordered by
+//!   `(time, insertion seq)`, kept in this module's tests as the
+//!   obviously-correct reference. The lockstep-randomized suite there
+//!   drives both through the same seeded schedule/pop interleavings (heavy
+//!   same-cycle ties, cascade-boundary and `Cycle::MAX`-adjacent times
+//!   included) and demands identical timelines.
 //!
 //! Both queues clamp an event scheduled in the past to the current time
 //! (the clock never moves backwards); the execution driver never does this,
 //! and the queues agree bit-for-bit on it.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 pub mod wheel;
 
@@ -39,155 +36,12 @@ pub use wheel::TimingWheel;
 /// [`TimingWheel`].
 pub type EventQueue<E> = TimingWheel<E>;
 
-/// An event paired with its delivery time and a monotonically increasing
-/// sequence number used to break ties deterministically.
-#[derive(Debug, Clone)]
-struct Scheduled<E> {
-    time: Cycle,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert the ordering so the earliest time
-        // (and, within a time, the lowest sequence number) is popped first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-use crate::clock::Cycle;
-
-/// The retired binary-heap event queue, kept as the reference
-/// implementation for the [`TimingWheel`] equivalence suite (the
-/// `NaiveListArray` pattern: an obviously-correct structure the optimized
-/// one is checked against in lockstep).
-///
-/// O(log n) per `schedule`/`pop` with a per-event sequence number for
-/// same-cycle FIFO ties — the costs the wheel exists to remove.
-///
-/// # Example
-///
-/// ```
-/// use tdm_sim::clock::Cycle;
-/// use tdm_sim::event::NaiveEventQueue;
-///
-/// let mut q = NaiveEventQueue::new();
-/// q.schedule(Cycle::new(20), "late");
-/// q.schedule(Cycle::new(5), "early");
-/// q.schedule(Cycle::new(5), "early-second");
-///
-/// assert_eq!(q.pop(), Some((Cycle::new(5), "early")));
-/// assert_eq!(q.pop(), Some((Cycle::new(5), "early-second")));
-/// assert_eq!(q.pop(), Some((Cycle::new(20), "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct NaiveEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
-    now: Cycle,
-}
-
-impl<E> Default for NaiveEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> NaiveEventQueue<E> {
-    /// Creates an empty event queue with the simulation clock at zero.
-    pub fn new() -> Self {
-        NaiveEventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: Cycle::ZERO,
-        }
-    }
-
-    /// The current simulation time: the delivery time of the most recently
-    /// popped event (zero before any event has been popped).
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `payload` for delivery at absolute time `time`.
-    ///
-    /// Scheduling an event in the past (before [`NaiveEventQueue::now`]) is
-    /// allowed but indicates a modelling error in the caller; the event is
-    /// delivered at the current time, behind events already pending for it
-    /// — the same clamp the wheel applies, so the two implementations stay
-    /// comparable event for event.
-    pub fn schedule(&mut self, time: Cycle, payload: E) {
-        let time = time.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, payload });
-    }
-
-    /// Schedules `payload` for delivery `delay` cycles after the current
-    /// simulation time.
-    pub fn schedule_after(&mut self, delay: Cycle, payload: E) {
-        let time = self.now + delay;
-        self.schedule(time, payload);
-    }
-
-    /// Removes and returns the earliest pending event together with its
-    /// delivery time, advancing the simulation clock to that time.
-    ///
-    /// Returns `None` when the queue is empty.
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let Scheduled { time, payload, .. } = self.heap.pop()?;
-        // Scheduling clamps to `now`, so time is always monotone; the max is
-        // kept as a belt-and-braces guard.
-        self.now = self.now.max(time);
-        Some((self.now, payload))
-    }
-
-    /// Returns the delivery time of the earliest pending event without
-    /// removing it.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Drops every pending event and resets the clock to zero.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.now = Cycle::ZERO;
-        self.next_seq = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Cycle;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order() {
@@ -303,6 +157,114 @@ mod tests {
         // Distinct seeds produce distinct interleavings (sanity check that
         // the workload above is actually seed-sensitive).
         assert_ne!(run(1), run(2));
+    }
+
+    /// An event paired with its delivery time and a monotonically increasing
+    /// sequence number used to break ties deterministically.
+    struct Scheduled<E> {
+        time: Cycle,
+        seq: u64,
+        payload: E,
+    }
+
+    impl<E> PartialEq for Scheduled<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+
+    impl<E> Eq for Scheduled<E> {}
+
+    impl<E> PartialOrd for Scheduled<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for Scheduled<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; invert the ordering so the earliest
+            // time (and, within a time, the lowest sequence number) is
+            // popped first.
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// The retired binary-heap event queue, kept as the reference
+    /// implementation for the [`TimingWheel`] equivalence suite below (the
+    /// `NaiveListArray` pattern: an obviously-correct structure the
+    /// optimized one is checked against in lockstep).
+    ///
+    /// O(log n) per `schedule`/`pop` with a per-event sequence number for
+    /// same-cycle FIFO ties — the costs the wheel exists to remove.
+    struct NaiveEventQueue<E> {
+        heap: BinaryHeap<Scheduled<E>>,
+        next_seq: u64,
+        now: Cycle,
+    }
+
+    impl<E> NaiveEventQueue<E> {
+        /// Creates an empty event queue with the simulation clock at zero.
+        fn new() -> Self {
+            NaiveEventQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+                now: Cycle::ZERO,
+            }
+        }
+
+        /// The current simulation time: the delivery time of the most
+        /// recently popped event (zero before any event has been popped).
+        fn now(&self) -> Cycle {
+            self.now
+        }
+
+        /// Number of pending events.
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        /// Schedules `payload` for delivery at absolute time `time`.
+        ///
+        /// Scheduling an event in the past (before [`NaiveEventQueue::now`])
+        /// is allowed but indicates a modelling error in the caller; the
+        /// event is delivered at the current time, behind events already
+        /// pending for it — the same clamp the wheel applies, so the two
+        /// implementations stay comparable event for event.
+        fn schedule(&mut self, time: Cycle, payload: E) {
+            let time = time.max(self.now);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Scheduled { time, seq, payload });
+        }
+
+        /// Schedules `payload` for delivery `delay` cycles after the current
+        /// simulation time.
+        fn schedule_after(&mut self, delay: Cycle, payload: E) {
+            let time = self.now + delay;
+            self.schedule(time, payload);
+        }
+
+        /// Removes and returns the earliest pending event together with its
+        /// delivery time, advancing the simulation clock to that time.
+        ///
+        /// Returns `None` when the queue is empty.
+        fn pop(&mut self) -> Option<(Cycle, E)> {
+            let Scheduled { time, payload, .. } = self.heap.pop()?;
+            // Scheduling clamps to `now`, so time is always monotone; the
+            // max is kept as a belt-and-braces guard.
+            self.now = self.now.max(time);
+            Some((self.now, payload))
+        }
+
+        /// Returns the delivery time of the earliest pending event without
+        /// removing it.
+        fn peek_time(&self) -> Option<Cycle> {
+            self.heap.peek().map(|s| s.time)
+        }
     }
 
     // -----------------------------------------------------------------

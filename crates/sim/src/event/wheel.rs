@@ -41,10 +41,9 @@
 //! Events of one cycle all land in one level-0 bucket and are appended at
 //! the tail; cascades preserve list order; `pop` takes the head. No
 //! per-event sequence number is stored or compared — the queue discipline
-//! *is* the order. The lockstep-randomized equivalence suite in
-//! [`crate::event`] drives this wheel against the retired binary heap
-//! ([`NaiveEventQueue`](crate::event::NaiveEventQueue)) to pin the
-//! behavioural match.
+//! *is* the order. The lockstep-randomized equivalence suite in the tests
+//! of [`crate::event`] drives this wheel against the retired binary heap
+//! (`NaiveEventQueue`, test-only) to pin the behavioural match.
 //!
 //! # Example
 //!

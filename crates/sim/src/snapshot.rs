@@ -9,7 +9,8 @@
 //!
 //! This module owns the *container format* and the low-level field codec;
 //! the driver-level capture/restore logic lives above it in
-//! `tdm_runtime::exec` (`simulate_stream_checkpointed` / `resume_stream`),
+//! `tdm_runtime::exec` (`simulate_stream_checkpointed_outcome` /
+//! `resume_stream_outcome`),
 //! because the state being captured — engines, schedulers, task feeds —
 //! is defined in the upper crates. The byte-level layout is specified in
 //! `SNAPSHOT_FORMAT.md` at the repository root; the format document and

@@ -51,10 +51,12 @@ pub mod prelude {
     pub use tdm_energy::chip::ChipPowerModel;
     pub use tdm_energy::edp::evaluate as evaluate_energy;
     pub use tdm_runtime::exec::{
-        simulate, simulate_outcome, Backend, ExecConfig, RunOutcome, RunReport, ScheduledTask,
+        simulate, simulate_stream_outcome, Backend, ExecConfig, RunOutcome, RunReport,
+        ScheduledTask,
     };
     pub use tdm_runtime::fault::FaultConfig;
     pub use tdm_runtime::scheduler::SchedulerKind;
+    pub use tdm_runtime::stream::WorkloadSource;
     pub use tdm_runtime::task::{DependenceSpec, TaskSpec, Workload};
     pub use tdm_runtime::tdg::TaskGraph;
     pub use tdm_sim::clock::{Cycle, Frequency};

@@ -17,13 +17,13 @@
 //! * **retirement degrades gracefully** — with sticky core faults the
 //!   survivors (ultimately the exempt master) still drain the workload;
 //! * **resume is bit-exact through faults** — a run checkpointed between a
-//!   failure and its retry resumes to the uninterrupted run's report.
+//!   failure and its retry resumes to the uninterrupted run's outcome.
 
 use crate::common::{assert_is_permutation, small_benchmark_streams, small_benchmarks};
 use crate::{all_backends, conformance_config};
 use tdm::prelude::*;
 use tdm::runtime::exec::{
-    resume_outcome, simulate_checkpointed_outcome, simulate_stream, simulate_stream_outcome,
+    resume_stream_outcome, simulate_stream, simulate_stream_checkpointed_outcome,
 };
 use tdm::sim::snapshot::Snapshot;
 
@@ -132,12 +132,15 @@ fn retry_exhaustion_aborts_with_a_typed_outcome() {
             .with_max_faults_per_task(u32::MAX)
             .with_retry_budget(3),
     );
-    let outcome = simulate_outcome(
-        workload,
-        &Backend::tdm_default(),
-        SchedulerKind::Fifo,
-        &config,
-    );
+    let run = || {
+        simulate_stream_outcome(
+            &mut WorkloadSource::new(workload),
+            &Backend::tdm_default(),
+            SchedulerKind::Fifo,
+            &config,
+        )
+    };
+    let outcome = run();
     let RunOutcome::Aborted {
         task,
         attempts,
@@ -154,13 +157,7 @@ fn retry_exhaustion_aborts_with_a_typed_outcome() {
     assert_eq!(report.stats.tasks_executed, 0, "no task can ever finish");
     assert!(task.index() < workload.len());
 
-    let again = simulate_outcome(
-        workload,
-        &Backend::tdm_default(),
-        SchedulerKind::Fifo,
-        &config,
-    );
-    assert_eq!(outcome, again, "abort must be deterministic");
+    assert_eq!(outcome, run(), "abort must be deterministic");
 }
 
 /// Sticky core faults retire every worker at its first completion; the
@@ -197,9 +194,31 @@ fn core_retirement_degrades_gracefully() {
     assert_eq!(report, again, "retirement must be deterministic");
 }
 
+/// Streams `workload` with checkpoint capture on, returning the run's
+/// outcome and its snapshots.
+fn checkpointed_run(
+    workload: &Workload,
+    backend: &Backend,
+    config: &ExecConfig,
+) -> (RunOutcome, Vec<Snapshot>) {
+    let mut snaps: Vec<Snapshot> = Vec::new();
+    let outcome = simulate_stream_checkpointed_outcome(
+        &mut WorkloadSource::new(workload),
+        backend,
+        SchedulerKind::Fifo,
+        config,
+        &mut |snap| {
+            snaps.push(Snapshot::from_bytes(&snap.to_bytes()).expect("codec round trip"));
+            true
+        },
+    )
+    .expect("sink never halts");
+    (outcome, snaps)
+}
+
 /// Checkpoint/restart through a fault schedule: snapshots taken while
 /// failures and retries are in flight (including a populated retry queue)
-/// must resume to the uninterrupted run's report, bit for bit, on every
+/// must resume to the uninterrupted run's outcome, bit for bit, on every
 /// backend.
 #[test]
 fn resume_through_faults_is_bit_exact() {
@@ -207,40 +226,29 @@ fn resume_through_faults_is_bit_exact() {
     for backend in all_backends() {
         let context = format!("{} under faults", backend.name());
         let base = conformance_config().with_faults(survivable_faults());
-        let straight = simulate(workload, &backend, SchedulerKind::Fifo, &base);
-        assert!(
-            straight.faults_injected > 0,
-            "{context}: no faults injected"
-        );
-
-        let interval = Cycle::new((straight.makespan().raw() / 8).max(1));
-        let config = base.with_checkpoint_every(interval);
-        let mut snaps: Vec<Snapshot> = Vec::new();
-        let checkpointed = simulate_checkpointed_outcome(
-            workload,
+        let straight = simulate_stream_outcome(
+            &mut WorkloadSource::new(workload),
             &backend,
             SchedulerKind::Fifo,
-            &config,
-            &mut |snap| {
-                snaps.push(Snapshot::from_bytes(&snap.to_bytes()).expect("codec round trip"));
-                true
-            },
-        )
-        .expect("sink never halts");
+            &base,
+        );
+        let RunOutcome::Completed(report) = &straight else {
+            panic!("{context}: a survivable schedule aborted: {straight:?}");
+        };
+        assert!(report.faults_injected > 0, "{context}: no faults injected");
+
+        let interval = Cycle::new((report.makespan().raw() / 8).max(1));
+        let config = base.with_checkpoint_every(interval);
+        let (checkpointed, snaps) = checkpointed_run(workload, &backend, &config);
         assert_eq!(
-            checkpointed,
-            RunOutcome::Completed(straight.clone()),
+            checkpointed, straight,
             "{context}: capture perturbed the run"
         );
         assert!(!snaps.is_empty(), "{context}: no checkpoints captured");
         for (i, snap) in snaps.iter().enumerate() {
-            let resumed = resume_outcome(workload, snap, &config)
+            let resumed = resume_stream_outcome(&mut WorkloadSource::new(workload), snap, &config)
                 .unwrap_or_else(|e| panic!("{context}, checkpoint {i}: {e}"));
-            assert_eq!(
-                resumed,
-                RunOutcome::Completed(straight.clone()),
-                "{context}: resumed from checkpoint {i}"
-            );
+            assert_eq!(resumed, straight, "{context}: resumed from checkpoint {i}");
         }
     }
 }
@@ -259,22 +267,14 @@ fn resume_refuses_diverging_fault_configuration() {
     );
     let interval = Cycle::new((straight.makespan().raw() / 4).max(1));
     let config = base.with_checkpoint_every(interval);
-    let mut snaps: Vec<Snapshot> = Vec::new();
-    simulate_checkpointed_outcome(
-        workload,
-        &Backend::tdm_default(),
-        SchedulerKind::Fifo,
-        &config,
-        &mut |snap| {
-            snaps.push(snap);
-            true
-        },
-    )
-    .expect("sink never halts");
+    let (_, snaps) = checkpointed_run(workload, &Backend::tdm_default(), &config);
+    let refusal = |config: &ExecConfig| {
+        resume_stream_outcome(&mut WorkloadSource::new(workload), &snaps[0], config).unwrap_err()
+    };
 
     let mut no_faults = config.clone();
     no_faults.fault = None;
-    let err = resume_outcome(workload, &snaps[0], &no_faults).unwrap_err();
+    let err = refusal(&no_faults);
     assert!(
         err.to_string().contains("fault configuration"),
         "wrong error: {err}"
@@ -282,7 +282,7 @@ fn resume_refuses_diverging_fault_configuration() {
 
     let mut other_rate = config.clone();
     other_rate.fault = Some(survivable_faults().with_fault_rate(0.5));
-    let err = resume_outcome(workload, &snaps[0], &other_rate).unwrap_err();
+    let err = refusal(&other_rate);
     assert!(
         err.to_string().contains("fault configuration"),
         "wrong error: {err}"

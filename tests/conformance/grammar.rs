@@ -12,7 +12,9 @@
 //! the pressured runs stay deterministic.
 
 use tdm::prelude::*;
-use tdm::runtime::exec::{resume, simulate_checkpointed, simulate_stream};
+use tdm::runtime::exec::{
+    resume_stream_outcome, simulate_stream, simulate_stream_checkpointed_outcome,
+};
 use tdm::sim::snapshot::Snapshot;
 use tdm::workloads::grammar::{self, GrammarSpec};
 
@@ -75,8 +77,9 @@ fn grammar_matrix_respects_reference_graph() {
 
 /// Snapshot/resume bit-identity over the grammar fan. Each spec rotates
 /// through a different backend × scheduler cell (a pure function of its
-/// seed, so failures replay), checkpointed at quarter-makespan intervals
-/// with every snapshot pushed through the binary codec.
+/// seed, so failures replay), streamed from its generator, checkpointed at
+/// quarter-makespan intervals with every snapshot pushed through the binary
+/// codec, and resumed on a freshly built generator.
 #[test]
 fn grammar_snapshot_resume_is_bit_identical() {
     let backends = all_backends();
@@ -90,20 +93,30 @@ fn grammar_snapshot_resume_is_bit_identical() {
             backend.name(),
             scheduler.name()
         );
-        let workload = spec.stream().into_workload();
-        let straight = simulate(&workload, backend, scheduler, &conformance_config());
-        let interval = Cycle::new((straight.makespan().raw() / 4).max(1));
+        let straight = simulate_stream_outcome(
+            &mut spec.stream(),
+            backend,
+            scheduler,
+            &conformance_config(),
+        );
+        let interval = Cycle::new((straight.report().makespan().raw() / 4).max(1));
         let config = conformance_config().with_checkpoint_every(interval);
         let mut snaps = Vec::new();
-        let report = simulate_checkpointed(&workload, backend, scheduler, &config, &mut |snap| {
-            snaps.push(Snapshot::from_bytes(&snap.to_bytes()).expect("codec round trip"));
-            true
-        })
+        let outcome = simulate_stream_checkpointed_outcome(
+            &mut spec.stream(),
+            backend,
+            scheduler,
+            &config,
+            &mut |snap| {
+                snaps.push(Snapshot::from_bytes(&snap.to_bytes()).expect("codec round trip"));
+                true
+            },
+        )
         .expect("sink never halts");
-        assert_eq!(report, straight, "{context}: capture perturbed the run");
+        assert_eq!(outcome, straight, "{context}: capture perturbed the run");
         assert!(!snaps.is_empty(), "{context}: no checkpoints captured");
         for (i, snap) in snaps.iter().enumerate() {
-            let resumed = resume(&workload, snap, &config).expect("resume");
+            let resumed = resume_stream_outcome(&mut spec.stream(), snap, &config).expect("resume");
             assert_eq!(resumed, straight, "{context}: resumed from checkpoint {i}");
         }
     }

@@ -5,10 +5,11 @@
 //! reproduce the uninterrupted run's [`RunReport`] bit for bit — stats,
 //! phase breakdowns, DMU counters and (traced) schedule. These tests pin
 //! that across the backend × scheduler matrix, at several capture points per
-//! run, on both the eager and the streaming (windowed) path, and always push
-//! each snapshot through the binary container
-//! ([`Snapshot::to_bytes`]/[`Snapshot::from_bytes`]) so the full codec is on
-//! the resume path, not just the in-memory structures.
+//! run, for materialised workloads (streamed through a [`WorkloadSource`],
+//! the way an eager caller checkpoints) and for lazy generators through a
+//! finite window, and always push each snapshot through the binary
+//! container ([`Snapshot::to_bytes`]/[`Snapshot::from_bytes`]) so the full
+//! codec is on the resume path, not just the in-memory structures.
 //!
 //! The section-table test keeps `SNAPSHOT_FORMAT.md` honest: every section
 //! the driver writes must be in the registry
@@ -17,15 +18,29 @@
 use crate::common::{random_workload, small_benchmark_streams, small_benchmarks};
 use crate::{all_backends, conformance_config};
 use tdm::prelude::*;
-use tdm::runtime::exec::{
-    resume, resume_stream, simulate_checkpointed, simulate_stream, simulate_stream_checkpointed,
-};
+use tdm::runtime::exec::{resume_stream_outcome, simulate_stream_checkpointed_outcome};
 use tdm::sim::snapshot::{self, Snapshot, SnapshotError};
 
 /// A capture interval that yields several checkpoints over `straight`'s
 /// makespan (and at least one even for degenerate runs).
-fn quarter_interval(straight: &RunReport) -> Cycle {
-    Cycle::new((straight.makespan().raw() / 4).max(1))
+fn quarter_interval(straight: &RunOutcome) -> Cycle {
+    Cycle::new((straight.report().makespan().raw() / 4).max(1))
+}
+
+/// The uninterrupted run of `workload`, streamed through a
+/// [`WorkloadSource`]: the reference every checkpoint must resume to.
+fn straight_run(
+    workload: &Workload,
+    backend: &Backend,
+    scheduler: SchedulerKind,
+    config: &ExecConfig,
+) -> RunOutcome {
+    simulate_stream_outcome(
+        &mut WorkloadSource::new(workload),
+        backend,
+        scheduler,
+        config,
+    )
 }
 
 /// Runs `workload` checkpointed, asserts capture did not perturb the run,
@@ -35,16 +50,22 @@ fn checkpoints_of(
     backend: &Backend,
     scheduler: SchedulerKind,
     config: &ExecConfig,
-    straight: &RunReport,
+    straight: &RunOutcome,
 ) -> Vec<Snapshot> {
     let mut snaps = Vec::new();
-    let report = simulate_checkpointed(workload, backend, scheduler, config, &mut |snap| {
-        snaps.push(Snapshot::from_bytes(&snap.to_bytes()).expect("codec round trip"));
-        true
-    })
+    let outcome = simulate_stream_checkpointed_outcome(
+        &mut WorkloadSource::new(workload),
+        backend,
+        scheduler,
+        config,
+        &mut |snap| {
+            snaps.push(Snapshot::from_bytes(&snap.to_bytes()).expect("codec round trip"));
+            true
+        },
+    )
     .expect("sink never halts");
     assert_eq!(
-        &report,
+        &outcome,
         straight,
         "capture perturbed the run ({} / {})",
         backend.name(),
@@ -53,15 +74,24 @@ fn checkpoints_of(
     snaps
 }
 
-/// Eager path, full matrix: every backend × scheduler cell of a scaled-down
-/// benchmark, resumed from every quarter-makespan checkpoint.
+/// Resumes `workload` from `snap` with a freshly built source.
+fn resume(
+    workload: &Workload,
+    snap: &Snapshot,
+    config: &ExecConfig,
+) -> Result<RunOutcome, SnapshotError> {
+    resume_stream_outcome(&mut WorkloadSource::new(workload), snap, config)
+}
+
+/// Full matrix: every backend × scheduler cell of a scaled-down benchmark,
+/// resumed from every quarter-makespan checkpoint.
 #[test]
 fn resume_is_bit_exact_across_backends_and_schedulers() {
     let workload = &small_benchmarks()[0];
     for backend in all_backends() {
         for scheduler in SchedulerKind::all() {
             let context = format!("{} with {}", backend.name(), scheduler.name());
-            let straight = simulate(workload, &backend, scheduler, &conformance_config());
+            let straight = straight_run(workload, &backend, scheduler, &conformance_config());
             let config = conformance_config().with_checkpoint_every(quarter_interval(&straight));
             let snaps = checkpoints_of(workload, &backend, scheduler, &config, &straight);
             assert!(!snaps.is_empty(), "{context}: no checkpoints captured");
@@ -86,18 +116,18 @@ fn streaming_resume_is_bit_exact_with_windows() {
                 ..conformance_config()
             };
             let mut stream = small_benchmark_streams().swap_remove(bench_idx);
-            let straight = simulate_stream(
+            let straight = simulate_stream_outcome(
                 &mut stream,
                 &Backend::tdm_default(),
                 SchedulerKind::Fifo,
                 &base,
             );
             let config = base.with_checkpoint_every(quarter_interval(&straight));
-            let context = format!("{} window {window}", straight.workload);
+            let context = format!("{} window {window}", straight.report().workload);
 
             let mut snaps: Vec<Snapshot> = Vec::new();
             let mut stream = small_benchmark_streams().swap_remove(bench_idx);
-            let report = simulate_stream_checkpointed(
+            let outcome = simulate_stream_checkpointed_outcome(
                 &mut stream,
                 &Backend::tdm_default(),
                 SchedulerKind::Fifo,
@@ -108,11 +138,11 @@ fn streaming_resume_is_bit_exact_with_windows() {
                 },
             )
             .expect("sink never halts");
-            assert_eq!(report, straight, "{context}: capture perturbed the run");
+            assert_eq!(outcome, straight, "{context}: capture perturbed the run");
             assert!(!snaps.is_empty(), "{context}: no checkpoints captured");
             for (i, snap) in snaps.iter().enumerate() {
                 let mut fresh = small_benchmark_streams().swap_remove(bench_idx);
-                let resumed = resume_stream(&mut fresh, snap, &config)
+                let resumed = resume_stream_outcome(&mut fresh, snap, &config)
                     .unwrap_or_else(|e| panic!("{context}, checkpoint {i}: {e}"));
                 assert_eq!(resumed, straight, "{context}: resumed from checkpoint {i}");
             }
@@ -128,7 +158,7 @@ fn random_workloads_resume_bit_exact() {
     for seed in 1..=6u64 {
         let workload = random_workload(seed);
         for backend in [Backend::tdm_default(), Backend::Software] {
-            let straight = simulate(
+            let straight = straight_run(
                 &workload,
                 &backend,
                 SchedulerKind::Age,
@@ -149,7 +179,7 @@ fn random_workloads_resume_bit_exact() {
 #[test]
 fn resume_refuses_diverging_configuration() {
     let workload = &small_benchmarks()[0];
-    let straight = simulate(
+    let straight = straight_run(
         workload,
         &Backend::tdm_default(),
         SchedulerKind::Fifo,
@@ -186,7 +216,7 @@ fn resume_refuses_diverging_configuration() {
 #[test]
 fn damaged_snapshots_are_rejected() {
     let workload = &small_benchmarks()[0];
-    let straight = simulate(
+    let straight = straight_run(
         workload,
         &Backend::tdm_default(),
         SchedulerKind::Fifo,
@@ -239,10 +269,10 @@ fn format_document_covers_every_written_section() {
     let doc =
         std::fs::read_to_string(doc_path).unwrap_or_else(|e| panic!("cannot read {doc_path}: {e}"));
 
-    // Capture one traced eager snapshot and one streaming snapshot so both
-    // feed kinds' section sets are checked.
+    // Capture traced snapshots of a materialised workload and of a lazy
+    // generator, so every section either writes is checked.
     let workload = &small_benchmarks()[0];
-    let straight = simulate(
+    let straight = straight_run(
         workload,
         &Backend::tdm_default(),
         SchedulerKind::Fifo,
@@ -260,7 +290,7 @@ fn format_document_covers_every_written_section() {
         written.extend(snap.section_ids());
     }
     let mut stream = small_benchmark_streams().swap_remove(0);
-    simulate_stream_checkpointed(
+    simulate_stream_checkpointed_outcome(
         &mut stream,
         &Backend::tdm_default(),
         SchedulerKind::Fifo,

@@ -9,37 +9,10 @@
 //! evaluated from each point's `RunReport` afterwards. Results are
 //! bit-identical to the old serial eager harness.
 
-use tdm_bench::sweep::{run_sweep, BackendSpec, SweepGrid, SweepResult, WorkloadSpec};
-use tdm_bench::{
-    default_threads, dmu_of, frequency, geometric_mean, power_model, print_table, ratio, Benchmark,
-};
-use tdm_energy::edp::{evaluate, EnergyReport};
+use tdm_bench::sweep::{run_sweep, BackendSpec, SweepGrid, WorkloadSpec};
+use tdm_bench::{best, default_threads, energy_of, geometric_mean, print_table, ratio, Benchmark};
 use tdm_runtime::exec::Backend;
 use tdm_runtime::scheduler::SchedulerKind;
-
-/// Evaluates the energy of a sweep point's run (the DMU geometry comes from
-/// the point's backend via [`dmu_of`], exactly like `run_with_energy`).
-fn energy_of(result: &SweepResult, backend: &Backend) -> EnergyReport {
-    evaluate(
-        &result.report,
-        &power_model(),
-        &dmu_of(backend),
-        frequency(),
-    )
-}
-
-/// The best scheduler of one benchmark's chunk: first strict minimum of the
-/// makespan in `SchedulerKind::all()` order (the OptSW / OptTDM selection of
-/// Section VI-A, reproduced from the sweep results).
-fn best(chunk: &[SweepResult]) -> &SweepResult {
-    let mut best = &chunk[0];
-    for candidate in &chunk[1..] {
-        if candidate.report.makespan() < best.report.makespan() {
-            best = candidate;
-        }
-    }
-    best
-}
 
 fn main() {
     let schedulers = SchedulerKind::all();

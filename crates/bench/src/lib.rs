@@ -20,7 +20,7 @@ pub mod baseline;
 pub mod cli;
 pub mod sweep;
 
-use tdm_core::config::DmuConfig;
+use sweep::SweepResult;
 use tdm_energy::chip::ChipPowerModel;
 use tdm_energy::edp::{evaluate, EnergyReport};
 use tdm_runtime::exec::{simulate, Backend, ExecConfig, RunReport};
@@ -46,16 +46,6 @@ pub fn power_model() -> ChipPowerModel {
     ChipPowerModel::default()
 }
 
-/// The DMU geometry to price a run's energy with: the backend's own
-/// configuration when it has one, the default geometry otherwise (software
-/// backends charge no DMU energy, but the model still needs a geometry).
-pub fn dmu_of(backend: &Backend) -> DmuConfig {
-    match backend {
-        Backend::Tdm(c) | Backend::TaskSuperscalar(c) => c.clone(),
-        _ => DmuConfig::default(),
-    }
-}
-
 /// Host parallelism for sweep harnesses, with a floor for when the
 /// parallelism probe fails or reports fewer cores (CI runners).
 pub fn default_threads(floor: usize) -> usize {
@@ -70,46 +60,32 @@ pub fn run(workload: &Workload, backend: &Backend, scheduler: SchedulerKind) -> 
     simulate(workload, backend, scheduler, &standard_config())
 }
 
-/// Runs one simulation and evaluates its energy.
-pub fn run_with_energy(
-    workload: &Workload,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-) -> (RunReport, EnergyReport) {
-    let report = run(workload, backend, scheduler);
-    let energy = evaluate(&report, &power_model(), &dmu_of(backend), frequency());
-    (report, energy)
+/// Evaluates the energy of a sweep point's run on `backend`, pricing the
+/// DMU with the backend's geometry ([`Backend::dmu_config`]).
+pub fn energy_of(result: &SweepResult, backend: &Backend) -> EnergyReport {
+    evaluate(
+        &result.report,
+        &power_model(),
+        &backend.dmu_config(),
+        frequency(),
+    )
 }
 
-/// Result of selecting the best scheduler for a benchmark on a backend.
-pub struct BestSchedule {
-    /// The winning policy.
-    pub scheduler: SchedulerKind,
-    /// The winning run.
-    pub report: RunReport,
-    /// Its energy metrics.
-    pub energy: EnergyReport,
-}
-
-/// Runs all five software schedulers on `backend` and returns the one with
-/// the smallest makespan — the OptSW / OptTDM selection of Section VI-A.
-pub fn best_scheduler(workload: &Workload, backend: &Backend) -> BestSchedule {
-    let mut best: Option<BestSchedule> = None;
-    for kind in SchedulerKind::all() {
-        let (report, energy) = run_with_energy(workload, backend, kind);
-        let better = match &best {
-            None => true,
-            Some(b) => report.makespan() < b.report.makespan(),
-        };
-        if better {
-            best = Some(BestSchedule {
-                scheduler: kind,
-                report,
-                energy,
-            });
+/// The best scheduler of one benchmark's sweep results — the OptSW /
+/// OptTDM selection of Section VI-A: the first strict makespan minimum, so
+/// ties go to the earlier policy in [`SchedulerKind::all`] order.
+///
+/// # Panics
+///
+/// Panics if `results` is empty.
+pub fn best(results: &[SweepResult]) -> &SweepResult {
+    let mut best = &results[0];
+    for candidate in &results[1..] {
+        if candidate.report.makespan() < best.report.makespan() {
+            best = candidate;
         }
     }
-    best.expect("at least one scheduler was evaluated")
+    best
 }
 
 /// Formats a ratio as a percentage string (e.g. `0.123` → `"12.3%"`).
@@ -138,8 +114,10 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_sweep, BackendSpec, SweepGrid, WorkloadSpec};
     use tdm_runtime::task::{DependenceSpec, TaskSpec};
     use tdm_sim::clock::Cycle;
+    use tdm_workloads::TaskStream;
 
     fn tiny_workload() -> Workload {
         let tasks = (0..40u64)
@@ -158,10 +136,18 @@ mod tests {
     fn best_scheduler_is_no_worse_than_fifo() {
         let w = tiny_workload();
         let backend = Backend::tdm_default();
-        let fifo = run(&w, &backend, SchedulerKind::Fifo);
-        let best = best_scheduler(&w, &backend);
-        assert!(best.report.makespan() <= fifo.makespan());
-        assert!(best.energy.edp > 0.0);
+        let grid = SweepGrid::new()
+            .with_workloads(vec![WorkloadSpec::new("tiny", move || {
+                TaskStream::new("tiny", w.len(), w.tasks.clone().into_iter())
+            })])
+            .with_backends(vec![BackendSpec::from(backend.clone())])
+            .with_schedulers(SchedulerKind::all());
+        let results = run_sweep(&grid, 1);
+        let fifo = &results[0];
+        assert_eq!(fifo.scheduler, SchedulerKind::Fifo.name());
+        let best = best(&results);
+        assert!(best.report.makespan() <= fifo.report.makespan());
+        assert!(energy_of(best, &backend).edp > 0.0);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct CreationOutcome {
     pub cost: Cycle,
     /// Whether the creation completed. `false` means a DMU structure was
     /// full; the caller must retry (with the same spec) after the next
-    /// `finish_task`.
+    /// finish.
     pub completed: bool,
 }
 
@@ -123,28 +123,22 @@ pub trait DependenceEngine: Send {
         ready: &mut Vec<ReadyInfo>,
     ) -> CreationOutcome;
 
-    /// Notifies that `task` finished at time `now` on core `core`, appending
-    /// tasks that became ready to `ready`. Returns the cycles the finishing
-    /// core spent (DEPS).
-    fn finish_task(
-        &mut self,
-        now: Cycle,
-        task: TaskRef,
-        core: usize,
-        ready: &mut Vec<ReadyInfo>,
-    ) -> Cycle;
-
-    /// Processes a whole same-cycle batch of finishes in event order,
-    /// appending one cost and one `(start, end)` range into `ready` per
-    /// finish to the caller-owned `costs` and `spans` buffers (append-only;
-    /// the caller clears them between batches).
+    /// Notifies that a same-cycle batch of tasks finished at time `now`, in
+    /// event order; each element pairs a task with the core it ran on. For
+    /// each finish, appends the cycles the finishing core spent (DEPS) to
+    /// `costs`, the tasks it readied to `ready`, and their `(start, end)`
+    /// range in `ready` to `spans`. All three buffers are caller-owned and
+    /// append-only; the caller clears them between batches.
     ///
-    /// The observable outcome — costs, ready tasks and their order, engine
-    /// statistics — must be identical to calling
-    /// [`DependenceEngine::finish_task`] once per element; batching only
-    /// amortizes *actual* per-call work (dispatch, buffer churn, repeated
-    /// lookups), exactly like the DMU's batched `add_dependences`. The
-    /// default implementation is that per-op loop.
+    /// Finishes are processed one at a time at `now`, in batch order, so a
+    /// batch only amortizes host work (dispatch, buffer churn, repeated
+    /// lookups), the way the DMU's `add_dependences` batches one task's
+    /// dependences. A failed execution attempt never reaches the engine:
+    /// the task stays in flight until a retry finishes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a task is not in flight (created and unfinished).
     fn finish_batch(
         &mut self,
         now: Cycle,
@@ -152,34 +146,7 @@ pub trait DependenceEngine: Send {
         costs: &mut Vec<Cycle>,
         ready: &mut Vec<ReadyInfo>,
         spans: &mut Vec<(usize, usize)>,
-    ) {
-        for &(task, core) in finishes {
-            let start = ready.len();
-            let cost = self.finish_task(now, task, core, ready);
-            costs.push(cost);
-            spans.push((start, ready.len()));
-        }
-    }
-
-    /// Notifies that `task`'s execution attempt *failed* at time `now` on
-    /// core `core`, returning the cycles the engine itself spends reacting
-    /// (the driver charges its own failure-detection cost on top).
-    ///
-    /// A failed execution never reached [`finish_task`], so the task's
-    /// dependents were never unblocked and nothing in the dependence state
-    /// needs rolling back: the task simply stays in flight (software live
-    /// slab, DMU tables, descriptor slot) until a retry succeeds. This hook
-    /// must therefore leave every modeled Walk/access counter untouched —
-    /// it exists to *validate* that invariant (panicking on a task that is
-    /// not in flight, exactly like [`finish_task`] would) and to give
-    /// engines a seam for future failure-aware behaviour.
-    ///
-    /// [`finish_task`]: DependenceEngine::finish_task
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` is not in flight (created and unfinished).
-    fn fail_task(&mut self, now: Cycle, task: TaskRef, core: usize) -> Cycle;
+    );
 
     /// Hardware statistics, if this engine models a hardware tracker.
     fn hardware_report(&self) -> Option<HardwareReport> {
@@ -327,6 +294,30 @@ impl SoftwareEngine {
             next_create: 0,
         }
     }
+
+    /// Finishes one in-flight task: wakes its registered successors into
+    /// `ready` and returns the finishing core's cost.
+    fn finish_one(&mut self, task: TaskRef, ready: &mut Vec<ReadyInfo>) -> Cycle {
+        let live = self
+            .live
+            .remove(task.index())
+            .unwrap_or_else(|| panic!("{task} finished before being created, or twice"));
+        for &succ in &live.successors {
+            let s = self
+                .live
+                .get_mut(succ.index())
+                .expect("successors of an in-flight task are in flight");
+            debug_assert!(s.pending_predecessors > 0, "predecessor underflow");
+            s.pending_predecessors -= 1;
+            if s.pending_predecessors == 0 {
+                ready.push(ReadyInfo {
+                    task: succ,
+                    num_successors: s.successors.len() as u32,
+                });
+            }
+        }
+        self.cost.sw_finish_cost(live.successors.len() as u32)
+    }
 }
 
 impl DependenceEngine for SoftwareEngine {
@@ -406,44 +397,19 @@ impl DependenceEngine for SoftwareEngine {
         }
     }
 
-    fn finish_task(
+    fn finish_batch(
         &mut self,
         _now: Cycle,
-        task: TaskRef,
-        _core: usize,
+        finishes: &[(TaskRef, usize)],
+        costs: &mut Vec<Cycle>,
         ready: &mut Vec<ReadyInfo>,
-    ) -> Cycle {
-        let i = task.index();
-        let live = self
-            .live
-            .remove(i)
-            .unwrap_or_else(|| panic!("{task} finished before being created, or twice"));
-        for &succ in &live.successors {
-            let s = self
-                .live
-                .get_mut(succ.index())
-                .expect("successors of an in-flight task are in flight");
-            debug_assert!(s.pending_predecessors > 0, "predecessor underflow");
-            s.pending_predecessors -= 1;
-            if s.pending_predecessors == 0 {
-                ready.push(ReadyInfo {
-                    task: succ,
-                    num_successors: s.successors.len() as u32,
-                });
-            }
+        spans: &mut Vec<(usize, usize)>,
+    ) {
+        for &(task, _core) in finishes {
+            let start = ready.len();
+            costs.push(self.finish_one(task, ready));
+            spans.push((start, ready.len()));
         }
-        self.cost.sw_finish_cost(live.successors.len() as u32)
-    }
-
-    fn fail_task(&mut self, _now: Cycle, task: TaskRef, _core: usize) -> Cycle {
-        // Nothing to roll back: the task never finished, so no successor
-        // edges were walked and no modeled costs accrued. Validate that it
-        // really is in flight and leave the tracking state untouched.
-        assert!(
-            self.live.get_mut(task.index()).is_some(),
-            "{task} failed without being in flight"
-        );
-        Cycle::ZERO
     }
 
     // Snapshot support. The address map is canonicalized to a key-sorted list
@@ -582,11 +548,6 @@ pub struct HardwareEngine {
     /// Reusable scratch for the per-dependence access counters returned by
     /// the batched `Dmu::add_dependences`.
     dep_counters: Vec<tdm_core::access::AccessCounter>,
-    /// Route every DMU operation through the one-at-a-time entry points
-    /// instead of the batched ones. The batched path is contractually
-    /// bit-identical; this switch exists so the conformance suite can run
-    /// both and compare (see [`crate::exec::ExecConfig::per_op_dmu`]).
-    per_op: bool,
 }
 
 impl HardwareEngine {
@@ -612,15 +573,7 @@ impl HardwareEngine {
             slot_owner: Vec::new(),
             woken_buf: Vec::new(),
             dep_counters: Vec::new(),
-            per_op: false,
         }
-    }
-
-    /// Same engine with the per-operation DMU path selected (conformance
-    /// knob; see the `per_op` field).
-    pub fn with_per_op_dmu(mut self) -> Self {
-        self.per_op = true;
-        self
     }
 
     /// Direct access to the underlying DMU (used by tests and by the
@@ -774,34 +727,7 @@ impl DependenceEngine for HardwareEngine {
             }
         }
 
-        if self.per_op {
-            while pending.next_dep < spec.deps.len() {
-                let dep = &spec.deps[pending.next_dep];
-                match self
-                    .dmu
-                    .add_dependence(desc, DepAddr(dep.addr), dep.size, dep.direction)
-                {
-                    Ok(r) => {
-                        cost += self.charge_instruction(now + cost, r.cost(latency));
-                        pending.next_dep += 1;
-                    }
-                    Err(DmuError::Stall(_)) => {
-                        cost += self.charge_stalled_attempt(now + cost);
-                        self.stall_cycles += cost;
-                        self.pending = Some(pending);
-                        // Ready tasks may already be sitting in the queue;
-                        // expose them so workers are not starved while the
-                        // master waits.
-                        self.drain_ready(now + cost, &mut cost, ready);
-                        return CreationOutcome {
-                            cost,
-                            completed: false,
-                        };
-                    }
-                    Err(e) => panic!("unexpected DMU error during add_dependence: {e}"),
-                }
-            }
-        } else if pending.next_dep < spec.deps.len() {
+        if pending.next_dep < spec.deps.len() {
             // Hand the DMU the whole remaining dependence batch: the task ID
             // is resolved through the TAT once, and each applied dependence
             // returns its per-op access counter. Charges replay in op order
@@ -851,35 +777,11 @@ impl DependenceEngine for HardwareEngine {
         }
     }
 
-    fn finish_task(
-        &mut self,
-        now: Cycle,
-        task: TaskRef,
-        _core: usize,
-        ready: &mut Vec<ReadyInfo>,
-    ) -> Cycle {
-        let desc = self.descriptor(task);
-        let latency = self.dmu.access_latency();
-        let mut cost = Cycle::ZERO;
-        // The woken list is reported through the ready queue drain below;
-        // the reusable buffer only avoids a per-finish allocation.
-        let mut woken = std::mem::take(&mut self.woken_buf);
-        let result = self
-            .dmu
-            .finish_task_into(desc, &mut woken)
-            .expect("finishing an in-flight task cannot fail");
-        self.woken_buf = woken;
-        cost += self.charge_instruction(now, result.cost(latency));
-        self.release_descriptor(task);
-        self.drain_ready(now + cost, &mut cost, ready);
-        cost
-    }
-
-    /// Batched finish: one virtual call, one woken-buffer take/restore and
-    /// one latency lookup for the whole same-cycle batch. Each element is
-    /// still charged and drained exactly like a [`Self::finish_task`] call at
-    /// `now`, in batch order, so costs, ready order and DMU statistics are
-    /// bit-identical to the per-op path.
+    /// One virtual call, one woken-buffer take/restore and one latency
+    /// lookup for the whole same-cycle batch. Each finish issues its own
+    /// `finish_task` instruction at `now` and drains the ready queue after
+    /// it. The woken list is reported through that drain; the reusable
+    /// buffer only avoids a per-finish allocation.
     fn finish_batch(
         &mut self,
         now: Cycle,
@@ -888,15 +790,6 @@ impl DependenceEngine for HardwareEngine {
         ready: &mut Vec<ReadyInfo>,
         spans: &mut Vec<(usize, usize)>,
     ) {
-        if self.per_op {
-            for &(task, core) in finishes {
-                let start = ready.len();
-                let cost = self.finish_task(now, task, core, ready);
-                costs.push(cost);
-                spans.push((start, ready.len()));
-            }
-            return;
-        }
         let latency = self.dmu.access_latency();
         let mut woken = std::mem::take(&mut self.woken_buf);
         for &(task, _core) in finishes {
@@ -913,17 +806,6 @@ impl DependenceEngine for HardwareEngine {
             spans.push((start, ready.len()));
         }
         self.woken_buf = woken;
-    }
-
-    fn fail_task(&mut self, _now: Cycle, task: TaskRef, _core: usize) -> Cycle {
-        // The descriptor stays allocated and the DMU tables keep the task in
-        // flight — a failed attempt issues no TDM instructions and touches
-        // no SRAM, so Walk/access counters are untouched by construction.
-        assert!(
-            self.task_slot.contains_key(&task.index()),
-            "{task} failed without an allocated descriptor slot"
-        );
-        Cycle::ZERO
     }
 
     fn hardware_report(&self) -> Option<HardwareReport> {
@@ -943,8 +825,10 @@ impl DependenceEngine for HardwareEngine {
     // order is observable through TAT set indices); the task→slot map is
     // canonicalized by task index. `woken_buf`/`dep_counters` are
     // per-operation scratch, empty between operations, and are not saved.
+    // The section opens with a retired byte, always `false`: it recorded the
+    // per-operation DMU mode, which is gone.
     fn save_state(&self, out: &mut Vec<u8>) {
-        self.per_op.save(out);
+        false.save(out);
         self.dmu.save(out);
         self.dmu_free_at.save(out);
         self.pending.save(out);
@@ -959,14 +843,9 @@ impl DependenceEngine for HardwareEngine {
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        let per_op = bool::load(r)?;
-        if per_op != self.per_op {
+        if bool::load(r)? {
             return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "snapshot was taken with per_op_dmu={per_op}, \
-                     but the engine was built with per_op_dmu={}",
-                    self.per_op
-                ),
+                context: "hardware ENGINE section records the retired per-op DMU mode".to_string(),
             });
         }
         let dmu = Dmu::load(r)?;
@@ -1055,6 +934,19 @@ mod tests {
         Workload::new("forkjoin", tasks)
     }
 
+    /// Finishes `task` at `now` as a one-element batch, appending the tasks
+    /// it readied to `ready` and returning the finishing core's cost.
+    fn finish(
+        engine: &mut dyn DependenceEngine,
+        now: Cycle,
+        task: TaskRef,
+        ready: &mut Vec<ReadyInfo>,
+    ) -> Cycle {
+        let mut costs = Vec::new();
+        engine.finish_batch(now, &[(task, 0)], &mut costs, ready, &mut Vec::new());
+        costs[0]
+    }
+
     fn run_engine_to_completion(
         engine: &mut dyn DependenceEngine,
         workload: &Workload,
@@ -1088,7 +980,7 @@ mod tests {
                 );
             };
             ready.clear();
-            now += engine.finish_task(now, info.task, 0, &mut ready);
+            now += finish(engine, now, info.task, &mut ready);
             pool.extend(ready.drain(..));
             order.push(info.task);
         }
@@ -1149,8 +1041,8 @@ mod tests {
         // Finishing the root readies all four leaves on both.
         let mut sw_fin = Vec::new();
         let mut hw_fin = Vec::new();
-        sw.finish_task(Cycle::ZERO, TaskRef(0), 0, &mut sw_fin);
-        hw.finish_task(Cycle::ZERO, TaskRef(0), 0, &mut hw_fin);
+        finish(&mut sw, Cycle::ZERO, TaskRef(0), &mut sw_fin);
+        finish(&mut hw, Cycle::ZERO, TaskRef(0), &mut hw_fin);
         let mut sw_tasks: Vec<usize> = sw_fin.iter().map(|r| r.task.index()).collect();
         let mut hw_tasks: Vec<usize> = hw_fin.iter().map(|r| r.task.index()).collect();
         sw_tasks.sort_unstable();
@@ -1178,8 +1070,8 @@ mod tests {
         create_all(&mut hw, &w);
         let mut sw_fin = Vec::new();
         let mut hw_fin = Vec::new();
-        sw.finish_task(Cycle::ZERO, TaskRef(0), 0, &mut sw_fin);
-        hw.finish_task(Cycle::ZERO, TaskRef(0), 0, &mut hw_fin);
+        finish(&mut sw, Cycle::ZERO, TaskRef(0), &mut sw_fin);
+        finish(&mut hw, Cycle::ZERO, TaskRef(0), &mut hw_fin);
         assert!(sw_fin.iter().all(|r| r.num_successors == 0));
         assert!(hw_fin.iter().all(|r| r.num_successors == 0));
     }
@@ -1194,7 +1086,7 @@ mod tests {
         let mut sw = SoftwareEngine::new(CostModel::default());
         create_all(&mut sw, &w);
         let mut fin = Vec::new();
-        sw.finish_task(Cycle::ZERO, TaskRef(0), 0, &mut fin);
+        finish(&mut sw, Cycle::ZERO, TaskRef(0), &mut fin);
         assert_eq!(fin.len(), 1);
         assert_eq!(fin[0].task, TaskRef(1));
         // Task 1's successor (task 2) was registered during creation.
@@ -1224,12 +1116,12 @@ mod tests {
         let mut root_only = SoftwareEngine::new(CostModel::default());
         let mut ready = Vec::new();
         root_only.create_task(Cycle::ZERO, TaskRef(0), &w.tasks[0], &mut ready);
-        let bare = root_only.finish_task(Cycle::ZERO, TaskRef(0), 0, &mut ready);
+        let bare = finish(&mut root_only, Cycle::ZERO, TaskRef(0), &mut ready);
 
         let mut full = SoftwareEngine::new(CostModel::default());
         create_all(&mut full, &w);
         ready.clear();
-        let loaded = full.finish_task(Cycle::ZERO, TaskRef(0), 0, &mut ready);
+        let loaded = finish(&mut full, Cycle::ZERO, TaskRef(0), &mut ready);
         assert!(
             loaded > bare,
             "waking 4 registered successors ({loaded}) must cost more than waking none ({bare})"
@@ -1363,8 +1255,8 @@ mod tests {
             sw.create_task(Cycle::ZERO, task, spec, &mut ready);
             hw.create_task(Cycle::ZERO, task, spec, &mut ready);
             ready.clear();
-            sw.finish_task(Cycle::ZERO, task, 0, &mut ready);
-            hw.finish_task(Cycle::ZERO, task, 0, &mut ready);
+            finish(&mut sw, Cycle::ZERO, task, &mut ready);
+            finish(&mut hw, Cycle::ZERO, task, &mut ready);
             assert!(sw.live.len() <= 1, "software live set leaked");
             assert!(hw.task_slot.len() <= 1, "descriptor slots leaked");
         }
@@ -1382,7 +1274,7 @@ mod tests {
             original.create_task(Cycle::ZERO, task, spec, &mut ready);
         }
         ready.clear();
-        original.finish_task(Cycle::ZERO, TaskRef(0), 0, &mut ready);
+        finish(&mut original, Cycle::ZERO, TaskRef(0), &mut ready);
 
         let mut bytes = Vec::new();
         original.save_state(&mut bytes);
@@ -1400,8 +1292,8 @@ mod tests {
         }
         let mut a = Vec::new();
         let mut b = Vec::new();
-        let ca = original.finish_task(Cycle::ZERO, TaskRef(1), 0, &mut a);
-        let cb = restored.finish_task(Cycle::ZERO, TaskRef(1), 0, &mut b);
+        let ca = finish(&mut original, Cycle::ZERO, TaskRef(1), &mut a);
+        let cb = finish(&mut restored, Cycle::ZERO, TaskRef(1), &mut b);
         assert_eq!(ca, cb);
         assert_eq!(a, b);
     }
@@ -1477,7 +1369,7 @@ mod tests {
                 }
                 let info = pool.pop_front().expect("a ready task must exist");
                 ready.clear();
-                now += engine.finish_task(now, info.task, 0, &mut ready);
+                now += finish(engine, now, info.task, &mut ready);
                 pool.extend(ready.drain(..));
                 order.push(info.task);
             }
@@ -1491,23 +1383,24 @@ mod tests {
 
     #[test]
     fn hardware_load_rejects_mismatched_per_op_mode() {
-        let e = HardwareEngine::new(
-            HardwareFlavor::Tdm,
-            DmuConfig::default(),
-            CostModel::default(),
-            Cycle::new(16),
-        );
+        // The section's leading byte is the retired per-op DMU mode: always
+        // written 0, and a snapshot recording the mode (1) is corrupt.
+        let build = || {
+            HardwareEngine::new(
+                HardwareFlavor::Tdm,
+                DmuConfig::default(),
+                CostModel::default(),
+                Cycle::new(16),
+            )
+        };
         let mut bytes = Vec::new();
-        e.save_state(&mut bytes);
-        let mut wrong = HardwareEngine::new(
-            HardwareFlavor::Tdm,
-            DmuConfig::default(),
-            CostModel::default(),
-            Cycle::new(16),
-        )
-        .with_per_op_dmu();
-        let err = wrong.load_state(&mut Reader::new(&bytes)).unwrap_err();
-        assert!(err.to_string().contains("per_op"), "got: {err}");
+        build().save_state(&mut bytes);
+        assert_eq!(bytes[0], 0);
+        build().load_state(&mut Reader::new(&bytes)).unwrap();
+        bytes[0] = 1;
+        let err = build().load_state(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "got: {err}");
+        assert!(err.to_string().contains("per-op"), "got: {err}");
     }
 
     #[test]

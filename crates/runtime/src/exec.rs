@@ -114,21 +114,9 @@ impl Backend {
         Backend::TaskSuperscalar(DmuConfig::default())
     }
 
-    fn build_engine(
-        &self,
-        cost: &CostModel,
-        noc_round_trip: Cycle,
-        per_op_dmu: bool,
-    ) -> Box<dyn DependenceEngine> {
-        let hardware = |flavor| {
-            let engine =
-                HardwareEngine::new(flavor, self.dmu_config(), cost.clone(), noc_round_trip);
-            if per_op_dmu {
-                engine.with_per_op_dmu()
-            } else {
-                engine
-            }
-        };
+    fn build_engine(&self, cost: &CostModel, noc_round_trip: Cycle) -> Box<dyn DependenceEngine> {
+        let hardware =
+            |flavor| HardwareEngine::new(flavor, self.dmu_config(), cost.clone(), noc_round_trip);
         match self {
             Backend::Software => Box::new(SoftwareEngine::new(cost.clone())),
             Backend::Carbon => Box::new(SoftwareEngine::with_name("carbon", cost.clone())),
@@ -137,7 +125,10 @@ impl Backend {
         }
     }
 
-    fn dmu_config(&self) -> DmuConfig {
+    /// The DMU geometry of a hardware backend, or the default geometry for
+    /// a software one (energy models still need a geometry to price a run
+    /// that charges no DMU energy).
+    pub fn dmu_config(&self) -> DmuConfig {
         match self {
             Backend::Tdm(dmu) | Backend::TaskSuperscalar(dmu) => dmu.clone(),
             _ => DmuConfig::default(),
@@ -183,12 +174,6 @@ pub struct ExecConfig {
     /// at a time): [`with_window`](ExecConfig::with_window) clamps eagerly,
     /// and the driver applies the same clamp to a directly assigned field.
     pub window: usize,
-    /// Route hardware-DMU work through the one-operation-at-a-time entry
-    /// points instead of the batched ones. The batched path is contractually
-    /// bit-identical — same modeled accesses, costs and reports — so this
-    /// knob exists only so the conformance suite can pin that contract by
-    /// running both and comparing. Off (batched) by default.
-    pub per_op_dmu: bool,
     /// Capture a checkpoint [`Snapshot`] every this many cycles of simulated
     /// time, when running through [`simulate_stream_checkpointed_outcome`].
     /// `None` (the default) disables periodic capture; every other entry
@@ -223,7 +208,6 @@ impl Default for ExecConfig {
             locality_capacity_bytes: locality,
             trace_schedule: false,
             window: usize::MAX,
-            per_op_dmu: false,
             checkpoint_every: None,
             fault: None,
         }
@@ -252,13 +236,6 @@ impl ExecConfig {
     /// [`window`](ExecConfig::window) directly behaves identically.
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = window.max(1);
-        self
-    }
-
-    /// Same configuration with the per-operation DMU path selected (see
-    /// [`per_op_dmu`](ExecConfig::per_op_dmu)).
-    pub fn with_per_op_dmu(mut self) -> Self {
-        self.per_op_dmu = true;
         self
     }
 
@@ -995,7 +972,7 @@ fn run_core<F: TaskFeed>(
     let noc = NocModel::from_chip(&config.chip);
     let noc_round_trip = noc.average_round_trip();
 
-    let mut engine = backend.build_engine(&config.cost, noc_round_trip, config.per_op_dmu);
+    let mut engine = backend.build_engine(&config.cost, noc_round_trip);
     let hardware_sched = backend.hardware_scheduling();
     let mut pool: Box<dyn Scheduler> = if hardware_sched {
         Box::new(FifoScheduler::new())
@@ -1042,9 +1019,9 @@ fn run_core<F: TaskFeed>(
     let mut fin_ready: Vec<ReadyInfo> = Vec::new();
     let mut create_ready: Vec<ReadyInfo> = Vec::new();
     // Injected failures of this batch, in event order: the failing task
-    // (with the successor count its re-issue must carry), the core it
-    // failed on, and the engine's failure-path cost.
-    let mut fail_events: Vec<(RunningTask, usize, Cycle)> = Vec::new();
+    // (with the successor count its re-issue must carry) and the core it
+    // failed on.
+    let mut fail_events: Vec<(RunningTask, usize)> = Vec::new();
     let mut block_sets = BlockSets::default();
     let mut next_create = 0usize;
     let mut finished = 0usize;
@@ -1171,7 +1148,7 @@ fn run_core<F: TaskFeed>(
         // scheduler pool, the idle set or the event queue, and the driver
         // bookkeeping replayed in Pass B never touches the engine, so the
         // two-pass split is observably identical to the interleaved loop it
-        // replaces (the per-op conformance suite pins this).
+        // replaces.
         // ------------------------------------------------------------------
         fin_tasks.clear();
         fin_costs.clear();
@@ -1180,57 +1157,53 @@ fn run_core<F: TaskFeed>(
         create_ready.clear();
         fail_events.clear();
         let mut master_plan = MasterPlan::None;
-        // Set when the master's own task failed this batch: the cycle its
-        // creation attempt is pushed back to (engine failure path plus
-        // detection latency), standing in for the finish-cost path below.
+        // Set when the master's own task failed this batch: the detection
+        // latency that delays its creation attempt, standing in for the
+        // finish-cost path below.
         let mut master_fail_cost: Option<Cycle> = None;
 
         // Files one batch event's completion, if `core` was running a task:
-        // a failure takes the engine's failure path at once, a finish waits
-        // for the next `finish_batch`. Returns the failure cost, if any.
-        let mut file_completion = |core: usize,
-                                   engine: &mut dyn DependenceEngine,
-                                   fin_tasks: &mut Vec<(TaskRef, usize)>|
-         -> Option<Cycle> {
+        // a failure is queued for Pass B and never reaches the engine, a
+        // finish waits for the next `finish_batch`. Returns whether the task
+        // failed.
+        let mut file_completion = |core: usize, fin_tasks: &mut Vec<(TaskRef, usize)>| -> bool {
             if core == RETRY_EVENT {
-                return None;
+                return false;
             }
-            let rt = running[core].take()?;
+            let Some(rt) = running[core].take() else {
+                return false;
+            };
             // Completion boundary: decide transient failure (the task's
             // result is lost, it must re-run) and sticky core retirement
             // (this completion is the core's last). Both are pure draws
             // keyed on stable identities, so the decisions are identical
             // across backends, schedulers and resume.
             let completion = fault_state.record_completion(core);
-            let failed = fault_plan
-                .as_ref()
-                .is_some_and(|plan| plan.should_fail(rt.task, fault_state.failure_count(rt.task)));
-            let fail_cost = if failed {
-                let cost = engine.fail_task(now, rt.task, core);
-                fail_events.push((rt, core, cost));
-                Some(cost)
-            } else {
-                fin_tasks.push((rt.task, core));
-                None
-            };
+            let mut failed = false;
             if let Some(plan) = &fault_plan {
+                failed = plan.should_fail(rt.task, fault_state.failure_count(rt.task));
+                if !failed {
+                    // A finished task never runs again, so its failure
+                    // count is never read: dropping it keeps the FAULT
+                    // section bounded by the window.
+                    fault_state.forget_failures(rt.task);
+                }
                 if core != master && plan.should_retire(core, completion) {
                     fault_state.retire(core);
                 }
             }
-            fail_cost
+            if failed {
+                fail_events.push((rt, core));
+            } else {
+                fin_tasks.push((rt.task, core));
+            }
+            failed
         };
         let master_pos = batch.iter().position(|&c| c == master);
         let split = master_pos.map_or(batch.len(), |pos| pos + 1);
         for &core in &batch[..split] {
-            let fail_cost = file_completion(core, &mut *engine, &mut fin_tasks);
-            if core == master {
-                if let Some(cost) = fail_cost {
-                    let detect = fault_plan
-                        .as_ref()
-                        .map_or(Cycle::ZERO, |plan| plan.config().detect_cost);
-                    master_fail_cost = Some(cost + detect);
-                }
+            if file_completion(core, &mut fin_tasks) && core == master {
+                master_fail_cost = fault_plan.as_ref().map(|plan| plan.config().detect_cost);
             }
         }
         engine.finish_batch(
@@ -1284,7 +1257,7 @@ fn run_core<F: TaskFeed>(
             }
             let before = fin_tasks.len();
             for &core in &batch[split..] {
-                file_completion(core, &mut *engine, &mut fin_tasks);
+                file_completion(core, &mut fin_tasks);
             }
             engine.finish_batch(
                 now,
@@ -1335,18 +1308,18 @@ fn run_core<F: TaskFeed>(
             // Phase 0b: the injected failure this core contributed, if any.
             // The task never finished: dependents stay blocked, the window
             // stays occupied and the master throttle is NOT reset. The core
-            // pays the engine's failure path plus fault-detection latency,
-            // then the task is queued for re-issue after a linear backoff —
-            // or, past the retry budget, the run aborts at the end of this
-            // batch.
+            // pays the fault-detection latency (the engine never sees the
+            // attempt), then the task is queued for re-issue after a linear
+            // backoff — or, past the retry budget, the run aborts at the end
+            // of this batch.
             // ------------------------------------------------------------------
             if fail_idx < fail_events.len() && fail_events[fail_idx].1 == core {
-                let (rt, _, engine_cost) = fail_events[fail_idx];
+                let (rt, _) = fail_events[fail_idx];
                 fail_idx += 1;
                 let plan = fault_plan
                     .as_ref()
                     .expect("failures are only injected when a fault plan exists");
-                let cost = engine_cost + plan.config().detect_cost;
+                let cost = plan.config().detect_cost;
                 stats.cores[core].add(Phase::Deps, cost);
                 t += cost;
                 makespan = makespan.max(t);
@@ -1623,7 +1596,7 @@ fn capture_snapshot<F: TaskFeed>(
         locality_capacity_bytes: config.locality_capacity_bytes,
         trace_schedule: config.trace_schedule,
         window: config.window as u64,
-        per_op_dmu: config.per_op_dmu,
+        retired_per_op: false,
         cost_hash: debug_hash(&config.cost),
         chip_hash: debug_hash(&config.chip),
         fault_hash: debug_hash(&config.fault),
@@ -1773,7 +1746,9 @@ struct RunMeta {
     locality_capacity_bytes: u64,
     trace_schedule: bool,
     window: u64,
-    per_op_dmu: bool,
+    /// Retired, always `false`: it recorded the per-operation DMU mode,
+    /// which is gone.
+    retired_per_op: bool,
     cost_hash: u64,
     chip_hash: u64,
     fault_hash: u64,
@@ -1790,7 +1765,7 @@ impl Persist for RunMeta {
         self.locality_capacity_bytes.save(out);
         self.trace_schedule.save(out);
         self.window.save(out);
-        self.per_op_dmu.save(out);
+        self.retired_per_op.save(out);
         self.cost_hash.save(out);
         self.chip_hash.save(out);
         self.fault_hash.save(out);
@@ -1807,7 +1782,7 @@ impl Persist for RunMeta {
             locality_capacity_bytes: u64::load(r)?,
             trace_schedule: bool::load(r)?,
             window: u64::load(r)?,
-            per_op_dmu: bool::load(r)?,
+            retired_per_op: bool::load(r)?,
             cost_hash: u64::load(r)?,
             chip_hash: u64::load(r)?,
             fault_hash: u64::load(r)?,
@@ -1873,12 +1848,8 @@ impl RunMeta {
                 self.window, config.window
             ));
         }
-        if self.per_op_dmu != config.per_op_dmu {
-            return fail(format!(
-                "snapshot was taken with per_op_dmu={} but the resuming config has \
-                 per_op_dmu={}",
-                self.per_op_dmu, config.per_op_dmu
-            ));
+        if self.retired_per_op {
+            return fail("META records the retired per-op DMU mode".to_string());
         }
         if self.cost_hash != debug_hash(&config.cost) {
             return fail("snapshot was taken under a different cost model".to_string());
@@ -2408,15 +2379,27 @@ mod tests {
         let err = refusal(&renamed, snap, &config);
         assert!(err.to_string().contains("workload"), "{err}");
 
-        // Hostile bytes: feed kind 0, the retired eager kind, written into
-        // META's `feed_kind` or into the FEED tag (each is its section's
-        // first byte) of an otherwise valid container.
-        for id in [section::META, section::FEED] {
+        // Hostile bytes in an otherwise valid container: byte `at` of
+        // section `id` set to `byte`, each refused as corrupt with an error
+        // containing `names`.
+        let meta_len = snap.section(section::META).unwrap().len();
+        let hostile_cases = [
+            // Feed kind 0, the retired eager kind, in META's `feed_kind` or
+            // in the FEED tag (each is its section's first byte).
+            (section::META, 0, 0, "kind"),
+            (section::FEED, 0, 0, "kind"),
+            // The retired per-op DMU byte: META field 10 (three u64 hashes
+            // follow it) and the hardware ENGINE section's first byte.
+            (section::META, meta_len - 25, 1, "per-op"),
+            (section::ENGINE, 0, 1, "per-op"),
+        ];
+        for (id, at, byte, names) in hostile_cases {
             let mut hostile = Snapshot::new();
             for sid in snap.section_ids() {
                 let mut payload = snap.section(sid).unwrap().to_vec();
                 if sid == id {
-                    payload[0] = 0;
+                    assert_ne!(payload[at], byte, "section {id:#04x} byte {at}");
+                    payload[at] = byte;
                 }
                 hostile.add_section(sid, payload);
             }
@@ -2426,7 +2409,7 @@ mod tests {
                 matches!(err, SnapshotError::Corrupt { .. }),
                 "section {id:#04x}: {err}"
             );
-            assert!(err.to_string().contains("kind"), "section {id:#04x}: {err}");
+            assert!(err.to_string().contains(names), "section {id:#04x}: {err}");
         }
     }
 

@@ -269,7 +269,8 @@ impl Persist for RetryEntry {
 /// snapshot section is deterministic either way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultState {
-    /// Injected-failure count per task index; only nonzero counts are kept.
+    /// Injected-failure count per task index; only nonzero counts of tasks
+    /// that have not finished yet are kept.
     failures: FastMap<usize, u32>,
     /// Completion boundaries each core has reached (indexes the retirement
     /// draw stream).
@@ -329,6 +330,13 @@ impl FaultState {
         let count = self.failures.entry(task.index()).or_insert(0);
         *count += 1;
         *count
+    }
+
+    /// Drops `task`'s failure count once it has finished: it never runs
+    /// again, so the count is never read, and dropping it keeps the map
+    /// bounded by the tasks in flight.
+    pub(crate) fn forget_failures(&mut self, task: TaskRef) {
+        self.failures.remove(&task.index());
     }
 
     /// Marks `core` as retired (sticky fault).
@@ -547,6 +555,9 @@ mod tests {
         assert_eq!(state.record_failure(TaskRef(9)), 2);
         assert_eq!(state.failure_count(TaskRef(9)), 2);
         assert_eq!(state.failure_count(TaskRef(8)), 0);
+        assert_eq!(state.faults_injected, 2);
+        state.forget_failures(TaskRef(9));
+        assert_eq!(state.failure_count(TaskRef(9)), 0);
         assert_eq!(state.faults_injected, 2);
     }
 

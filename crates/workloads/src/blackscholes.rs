@@ -7,7 +7,7 @@
 //! two benchmarks whose optimal granularity differs between the software
 //! runtime (3,300 tasks of ≈1,770 µs) and TDM (6,500 tasks of ≈823 µs).
 
-use tdm_runtime::task::{DependenceSpec, TaskSpec, Workload};
+use tdm_runtime::task::{DependenceSpec, TaskSpec};
 
 use crate::spec::micros;
 use crate::stream::TaskStream;
@@ -102,22 +102,6 @@ pub fn stream_scaled(target_tasks: usize) -> TaskStream {
     stream(params)
 }
 
-/// Generates the Blackscholes workload (the eager `collect()` of
-/// [`stream`]).
-pub fn generate(params: Params) -> Workload {
-    stream(params).into_workload()
-}
-
-/// Software-optimal workload: 3,300 tasks of ≈1,770 µs.
-pub fn software_optimal() -> Workload {
-    generate(Params::software())
-}
-
-/// TDM-optimal workload: 6,500 tasks of ≈823 µs.
-pub fn tdm_optimal() -> Workload {
-    generate(Params::tdm())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,14 +111,14 @@ mod tests {
 
     #[test]
     fn software_point_matches_table2() {
-        let w = software_optimal();
+        let w = Benchmark::Blackscholes.software_workload();
         assert_eq!(w.len(), 3_300);
         check_calibration(&w, Benchmark::Blackscholes.table2_software(), 0.01, 0.01).unwrap();
     }
 
     #[test]
     fn tdm_point_matches_table2() {
-        let w = tdm_optimal();
+        let w = Benchmark::Blackscholes.tdm_workload();
         assert_eq!(w.len(), 6_500);
         check_calibration(&w, Benchmark::Blackscholes.table2_tdm(), 0.01, 0.01).unwrap();
     }
@@ -147,7 +131,7 @@ mod tests {
             task_us: 100.0,
             block_bytes: 1024,
         };
-        let w = generate(params);
+        let w = stream(params).into_workload();
         let graph = TaskGraph::build(&w);
         // Exactly `chains` roots (the first task of each chain).
         assert_eq!(graph.roots().len(), 4);
@@ -165,7 +149,7 @@ mod tests {
             task_us: 10.0,
             block_bytes: 512,
         };
-        let w = generate(params);
+        let w = stream(params).into_workload();
         let graph = TaskGraph::build(&w);
         // Task 3 (chain 0, step 1) depends on task 0 (chain 0, step 0).
         assert_eq!(graph.predecessors(TaskRef(3)), &[TaskRef(0)]);
@@ -173,8 +157,8 @@ mod tests {
 
     #[test]
     fn granularity_sweep_preserves_total_work() {
-        let a = generate(Params::with_block_bytes(1024));
-        let b = generate(Params::with_block_bytes(8192));
+        let a = stream(Params::with_block_bytes(1024)).into_workload();
+        let b = stream(Params::with_block_bytes(8192)).into_workload();
         let ratio = a.total_work().as_f64() / b.total_work().as_f64();
         assert!((0.8..1.25).contains(&ratio), "work ratio {ratio}");
         assert!(a.len() > b.len());

@@ -7,7 +7,7 @@
 //! matrix tiled into 32×32 blocks of 64×64 elements) this produces exactly
 //! the 5,984 tasks of Table II.
 
-use tdm_runtime::task::{DependenceSpec, TaskSpec, Workload};
+use tdm_runtime::task::{DependenceSpec, TaskSpec};
 
 use crate::dense::{scale_duration, BlockMatrix};
 use crate::spec::micros;
@@ -153,27 +153,6 @@ pub fn stream_scaled(target_tasks: usize) -> TaskStream {
     )
 }
 
-/// Generates the Cholesky workload for the given parameters (the eager
-/// `collect()` of [`stream`]).
-///
-/// # Panics
-///
-/// Panics if `params.blocks` does not divide the matrix dimension.
-pub fn generate(params: Params) -> Workload {
-    stream(params).into_workload()
-}
-
-/// The software-optimal and TDM-optimal granularities coincide for Cholesky
-/// (Table II): 5,984 tasks of ≈183 µs.
-pub fn software_optimal() -> Workload {
-    generate(Params::default())
-}
-
-/// See [`software_optimal`].
-pub fn tdm_optimal() -> Workload {
-    software_optimal()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,14 +162,14 @@ mod tests {
     #[test]
     fn task_count_matches_table2() {
         assert_eq!(task_count(32), 5_984);
-        let w = software_optimal();
+        let w = Benchmark::Cholesky.software_workload();
         assert_eq!(w.len(), 5_984);
         check_calibration(&w, Benchmark::Cholesky.table2_software(), 0.01, 0.03).unwrap();
     }
 
     #[test]
     fn panel_structure_is_a_dag_with_parallel_updates() {
-        let w = generate(Params { blocks: 8 });
+        let w = stream(Params { blocks: 8 }).into_workload();
         assert_eq!(w.len(), task_count(8));
         let graph = TaskGraph::build(&w);
         // Only the first potrf is ready at creation.
@@ -203,7 +182,7 @@ mod tests {
 
     #[test]
     fn kernel_mix_matches_closed_form() {
-        let w = generate(Params { blocks: 8 });
+        let w = stream(Params { blocks: 8 }).into_workload();
         let gemms = w.tasks.iter().filter(|t| t.kind == "sgemm").count();
         let syrks = w.tasks.iter().filter(|t| t.kind == "ssyrk").count();
         let trsms = w.tasks.iter().filter(|t| t.kind == "strsm").count();
@@ -216,8 +195,8 @@ mod tests {
 
     #[test]
     fn coarser_blocking_means_fewer_longer_tasks() {
-        let fine = generate(Params { blocks: 32 });
-        let coarse = generate(Params { blocks: 16 });
+        let fine = stream(Params { blocks: 32 }).into_workload();
+        let coarse = stream(Params { blocks: 16 }).into_workload();
         assert!(coarse.len() < fine.len());
         assert!(coarse.average_duration() > fine.average_duration());
         // Total work stays in the same ballpark (±20%): fewer tasks, each
@@ -229,7 +208,7 @@ mod tests {
 
     #[test]
     fn dependences_use_block_sized_regions() {
-        let w = software_optimal();
+        let w = Benchmark::Cholesky.software_workload();
         for task in &w.tasks {
             for dep in &task.deps {
                 assert_eq!(dep.size, 64 * 64 * 4);
@@ -239,7 +218,7 @@ mod tests {
 
     #[test]
     fn graph_is_creation_ordered_dag() {
-        let w = generate(Params { blocks: 8 });
+        let w = stream(Params { blocks: 8 }).into_workload();
         let graph = TaskGraph::build(&w);
         // Every edge points from an earlier task to a later one.
         for (t, _) in w.iter() {

@@ -15,7 +15,7 @@
 //! application (Section IV-B), so there is a single generation point:
 //! 244 tasks of ≈27.7 ms on average.
 
-use tdm_runtime::task::{DependenceSpec, TaskSpec, Workload};
+use tdm_runtime::task::{DependenceSpec, TaskSpec};
 
 use crate::spec::micros;
 use crate::stream::TaskStream;
@@ -103,23 +103,6 @@ pub fn stream_scaled(target_tasks: usize) -> TaskStream {
     stream_with_chunks(target_tasks.saturating_sub(2).div_ceil(2).max(1))
 }
 
-/// Generates the Dedup workload: 2×[`CHUNKS`] pipeline tasks, one leading
-/// scan task and one trailing verification task (244 total; the eager
-/// `collect()` of [`stream`]).
-pub fn generate() -> Workload {
-    stream().into_workload()
-}
-
-/// The single granularity point (software and TDM coincide).
-pub fn software_optimal() -> Workload {
-    generate()
-}
-
-/// See [`software_optimal`].
-pub fn tdm_optimal() -> Workload {
-    generate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,14 +112,14 @@ mod tests {
 
     #[test]
     fn task_count_and_duration_match_table2() {
-        let w = generate();
+        let w = stream().into_workload();
         assert_eq!(w.len(), 244);
         check_calibration(&w, Benchmark::Dedup.table2_software(), 0.01, 0.03).unwrap();
     }
 
     #[test]
     fn io_tasks_form_a_chain() {
-        let w = generate();
+        let w = stream().into_workload();
         let graph = TaskGraph::build(&w);
         // write_i (index 2 + 2i + 1) depends on write_{i-1} through the
         // archive pointer and on compress_i through the compressed buffer.
@@ -148,7 +131,7 @@ mod tests {
 
     #[test]
     fn io_tasks_have_two_successors_compute_tasks_one() {
-        let w = generate();
+        let w = stream().into_workload();
         let graph = TaskGraph::build(&w);
         // compress_5 is task index 1 + 2*5 = 11; write_5 is 12.
         let compress_5 = TaskRef(11);
@@ -159,7 +142,7 @@ mod tests {
 
     #[test]
     fn verifier_waits_for_the_last_writer_of_every_index_record() {
-        let w = generate();
+        let w = stream().into_workload();
         let graph = TaskGraph::build(&w);
         let verify = TaskRef(w.len() - 1);
         // One distinct predecessor per index record (the archive's last
@@ -172,7 +155,7 @@ mod tests {
 
     #[test]
     fn compute_dominates_total_work() {
-        let w = generate();
+        let w = stream().into_workload();
         let compute: f64 = w
             .tasks
             .iter()

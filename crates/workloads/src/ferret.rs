@@ -6,7 +6,7 @@
 //! file and is therefore serialized across queries. With 256 queries this
 //! yields the 1,536 tasks of Table II.
 
-use tdm_runtime::task::{DependenceSpec, TaskSpec, Workload};
+use tdm_runtime::task::{DependenceSpec, TaskSpec};
 
 use crate::spec::micros;
 use crate::stream::TaskStream;
@@ -63,22 +63,6 @@ pub fn stream_scaled(target_tasks: usize) -> TaskStream {
     stream_with_queries(target_tasks.div_ceil(STAGES).max(1))
 }
 
-/// Generates the Ferret workload (the eager `collect()` of [`stream`]).
-pub fn generate() -> Workload {
-    stream().into_workload()
-}
-
-/// The single granularity point (pipeline stages are fixed by the
-/// application, Section IV-B).
-pub fn software_optimal() -> Workload {
-    generate()
-}
-
-/// See [`software_optimal`].
-pub fn tdm_optimal() -> Workload {
-    generate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,14 +72,14 @@ mod tests {
 
     #[test]
     fn task_count_and_duration_match_table2() {
-        let w = generate();
+        let w = stream().into_workload();
         assert_eq!(w.len(), 1_536);
         check_calibration(&w, Benchmark::Ferret.table2_software(), 0.01, 0.03).unwrap();
     }
 
     #[test]
     fn stages_of_a_query_are_chained() {
-        let w = generate();
+        let w = stream().into_workload();
         let graph = TaskGraph::build(&w);
         // Stage 3 of query 10 depends on stage 2 of query 10.
         let stage3 = TaskRef(10 * STAGES + 3);
@@ -105,7 +89,7 @@ mod tests {
 
     #[test]
     fn output_stages_are_serialized_across_queries() {
-        let w = generate();
+        let w = stream().into_workload();
         let graph = TaskGraph::build(&w);
         let out_q1 = TaskRef(STAGES + STAGES - 1);
         let preds = graph.predecessors(out_q1);
@@ -116,7 +100,7 @@ mod tests {
 
     #[test]
     fn queries_are_otherwise_independent() {
-        let w = generate();
+        let w = stream().into_workload();
         let graph = TaskGraph::build(&w);
         // The load stages of all queries are roots.
         assert_eq!(graph.roots().len(), QUERIES);
@@ -127,7 +111,7 @@ mod tests {
 
     #[test]
     fn rank_stage_dominates_durations() {
-        let w = generate();
+        let w = stream().into_workload();
         let rank: Vec<_> = w.tasks.iter().filter(|t| t.kind == "vector").collect();
         let load: Vec<_> = w.tasks.iter().filter(|t| t.kind == "load").collect();
         assert!(rank[0].duration > load[0].duration);

@@ -6,7 +6,7 @@
 //! 32); the optimal point of Table II is 256 partitions × 10 timesteps =
 //! 2,560 tasks of ≈1,804 µs.
 
-use tdm_runtime::task::{DependenceSpec, TaskSpec, Workload};
+use tdm_runtime::task::{DependenceSpec, TaskSpec};
 
 use crate::spec::micros;
 use crate::stream::TaskStream;
@@ -94,22 +94,6 @@ pub fn stream_scaled(target_tasks: usize) -> TaskStream {
     })
 }
 
-/// Generates the Fluidanimate workload (the eager `collect()` of
-/// [`stream`]).
-pub fn generate(params: Params) -> Workload {
-    stream(params).into_workload()
-}
-
-/// Optimal granularity (software and TDM coincide): 2,560 tasks of ≈1,804 µs.
-pub fn software_optimal() -> Workload {
-    generate(Params::default())
-}
-
-/// See [`software_optimal`].
-pub fn tdm_optimal() -> Workload {
-    software_optimal()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,17 +103,18 @@ mod tests {
 
     #[test]
     fn task_count_and_duration_match_table2() {
-        let w = software_optimal();
+        let w = Benchmark::Fluidanimate.software_workload();
         assert_eq!(w.len(), 2_560);
         check_calibration(&w, Benchmark::Fluidanimate.table2_software(), 0.01, 0.01).unwrap();
     }
 
     #[test]
     fn stencil_reads_neighbours() {
-        let w = generate(Params {
+        let w = stream(Params {
             partitions: 8,
             timesteps: 2,
-        });
+        })
+        .into_workload();
         let graph = TaskGraph::build(&w);
         // Partition 3 in timestep 1 (task 8 + 3) reads the timestep-0 output
         // of partitions 2, 3 and 4 and overwrites the buffer those tasks
@@ -149,24 +134,27 @@ mod tests {
         // Within the first timestep, the `in` on a neighbour that is written
         // (inout) by a later task in creation order does not create a
         // backward edge, so partition 0 is a root.
-        let w = generate(Params {
+        let w = stream(Params {
             partitions: 8,
             timesteps: 1,
-        });
+        })
+        .into_workload();
         let graph = TaskGraph::build(&w);
         assert!(graph.roots().contains(&TaskRef(0)));
     }
 
     #[test]
     fn fewer_partitions_means_longer_tasks() {
-        let fine = generate(Params {
+        let fine = stream(Params {
             partitions: 256,
             timesteps: 2,
-        });
-        let coarse = generate(Params {
+        })
+        .into_workload();
+        let coarse = stream(Params {
             partitions: 32,
             timesteps: 2,
-        });
+        })
+        .into_workload();
         assert!(coarse.len() < fine.len());
         assert!(coarse.average_duration() > fine.average_duration());
         let ratio = coarse.total_work().as_f64() / fine.total_work().as_f64();
@@ -175,10 +163,11 @@ mod tests {
 
     #[test]
     fn timesteps_are_serialized_per_partition() {
-        let w = generate(Params {
+        let w = stream(Params {
             partitions: 4,
             timesteps: 3,
-        });
+        })
+        .into_workload();
         let graph = TaskGraph::build(&w);
         assert!(graph.critical_path_len() >= 3);
     }

@@ -6,7 +6,7 @@
 //! Table II this is 256 local tasks + 255 merge tasks + 1 final task = 512
 //! tasks of ≈3,824 µs on average.
 
-use tdm_runtime::task::{DependenceSpec, TaskSpec, Workload};
+use tdm_runtime::task::{DependenceSpec, TaskSpec};
 
 use crate::spec::micros;
 use crate::stream::TaskStream;
@@ -113,25 +113,6 @@ pub fn stream_scaled(target_tasks: usize) -> TaskStream {
     stream(Params { stripes })
 }
 
-/// Generates the Histogram workload (the eager `collect()` of [`stream`]).
-///
-/// # Panics
-///
-/// Panics if `stripes` is not a power of two greater than one.
-pub fn generate(params: Params) -> Workload {
-    stream(params).into_workload()
-}
-
-/// Optimal granularity (software and TDM coincide): 512 tasks of ≈3,824 µs.
-pub fn software_optimal() -> Workload {
-    generate(Params::default())
-}
-
-/// See [`software_optimal`].
-pub fn tdm_optimal() -> Workload {
-    software_optimal()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,14 +122,14 @@ mod tests {
 
     #[test]
     fn task_count_and_duration_match_table2() {
-        let w = software_optimal();
+        let w = Benchmark::Histogram.software_workload();
         assert_eq!(w.len(), 512);
         check_calibration(&w, Benchmark::Histogram.table2_software(), 0.01, 0.03).unwrap();
     }
 
     #[test]
     fn reduction_tree_structure() {
-        let w = generate(Params { stripes: 8 });
+        let w = stream(Params { stripes: 8 }).into_workload();
         // 8 locals + 7 merges + 1 final = 16 tasks.
         assert_eq!(w.len(), 16);
         let graph = TaskGraph::build(&w);
@@ -163,7 +144,7 @@ mod tests {
 
     #[test]
     fn merges_wait_for_both_children() {
-        let w = generate(Params { stripes: 4 });
+        let w = stream(Params { stripes: 4 }).into_workload();
         let graph = TaskGraph::build(&w);
         // First merge (task 4) merges histograms 0 and 1, so it waits for
         // local 0 and local 1.
@@ -175,8 +156,8 @@ mod tests {
 
     #[test]
     fn coarser_stripes_are_longer() {
-        let fine = generate(Params { stripes: 256 });
-        let coarse = generate(Params { stripes: 32 });
+        let fine = stream(Params { stripes: 256 }).into_workload();
+        let coarse = stream(Params { stripes: 32 }).into_workload();
         assert!(coarse.len() < fine.len());
         assert!(coarse.tasks[0].duration > fine.tasks[0].duration);
     }
@@ -184,6 +165,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_stripes_panics() {
-        let _ = generate(Params { stripes: 100 });
+        let _ = stream(Params { stripes: 100 }).into_workload();
     }
 }

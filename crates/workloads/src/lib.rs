@@ -12,12 +12,12 @@
 //! (Fluidanimate), a reduction tree (Histogram) and fork-join phases
 //! (Streamcluster). Granularity parameters reproduce the sweep of Figure 6.
 //!
-//! Every generator exists in two task-for-task identical forms: a lazy
-//! [`TaskStream`] (each module's `stream` function, the
-//! primary implementation) that produces tasks one at a time for the
-//! windowed streaming driver, and the eager `generate` / `*_optimal`
-//! wrappers that collect the stream into a
-//! [`Workload`](tdm_runtime::task::Workload). Scaled-up variants
+//! Every generator is a lazy [`TaskStream`] (each module's `stream`
+//! function) that produces tasks one at a time for the windowed streaming
+//! driver; [`TaskStream::into_workload`] collects it into an eager
+//! [`Workload`](tdm_runtime::task::Workload), and
+//! [`Benchmark::software_workload`] / [`Benchmark::tdm_workload`] do so at
+//! the Table II granularities. Scaled-up variants
 //! ([`Benchmark::scaled_stream`]) grow each benchmark's input to an
 //! arbitrary task count (millions of tasks) without ever materialising the
 //! task list.

@@ -5,7 +5,7 @@
 //! which with 16×16 blocks of 128×128 elements yields 1,496 tasks versus the
 //! 1,512 of Table II — within 1.1 %.
 
-use tdm_runtime::task::{DependenceSpec, TaskSpec, Workload};
+use tdm_runtime::task::{DependenceSpec, TaskSpec};
 
 use crate::dense::{scale_duration, BlockMatrix};
 use crate::spec::micros;
@@ -138,22 +138,6 @@ pub fn stream_scaled(target_tasks: usize) -> TaskStream {
     )
 }
 
-/// Generates the LU workload (the eager `collect()` of [`stream`]).
-pub fn generate(params: Params) -> Workload {
-    stream(params).into_workload()
-}
-
-/// Software-optimal granularity (same as TDM's, Table II): 1,496 tasks of
-/// ≈424 µs.
-pub fn software_optimal() -> Workload {
-    generate(Params::default())
-}
-
-/// See [`software_optimal`].
-pub fn tdm_optimal() -> Workload {
-    software_optimal()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +147,7 @@ mod tests {
     #[test]
     fn task_count_close_to_table2() {
         assert_eq!(task_count(16), 1_496);
-        let w = software_optimal();
+        let w = Benchmark::Lu.software_workload();
         // Table II reports 1,512 for the sparse input; the dense structure is
         // within ~1 %.
         check_calibration(&w, Benchmark::Lu.table2_software(), 0.02, 0.03).unwrap();
@@ -171,7 +155,7 @@ mod tests {
 
     #[test]
     fn panel_factorization_is_on_the_critical_path() {
-        let w = generate(Params { blocks: 4 });
+        let w = stream(Params { blocks: 4 }).into_workload();
         let graph = TaskGraph::build(&w);
         // Each panel's lu0 depends transitively on the previous panel's bmod
         // wave, so the critical path grows with the block count.
@@ -180,7 +164,7 @@ mod tests {
 
     #[test]
     fn kernel_mix_matches_closed_form() {
-        let w = generate(Params { blocks: 8 });
+        let w = stream(Params { blocks: 8 }).into_workload();
         let count = |k: &str| w.tasks.iter().filter(|t| t.kind == k).count();
         assert_eq!(count("lu0"), 8);
         assert_eq!(count("fwd"), 28);
@@ -193,14 +177,14 @@ mod tests {
 
     #[test]
     fn block_size_is_64kb_at_optimal_granularity() {
-        let w = software_optimal();
+        let w = Benchmark::Lu.software_workload();
         assert_eq!(w.tasks[0].deps[0].size, 128 * 128 * 4);
     }
 
     #[test]
     fn granularity_sweep_preserves_total_work() {
-        let fine = generate(Params { blocks: 32 });
-        let coarse = generate(Params { blocks: 8 });
+        let fine = stream(Params { blocks: 32 }).into_workload();
+        let coarse = stream(Params { blocks: 8 }).into_workload();
         let ratio = coarse.total_work().as_f64() / fine.total_work().as_f64();
         assert!((0.7..1.4).contains(&ratio), "work ratio {ratio}");
     }

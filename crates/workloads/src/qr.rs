@@ -5,7 +5,7 @@
 //! with 16×16 blocks (1,496 tasks of ≈997 µs) while TDM is fastest with
 //! 32×32 blocks (11,440 tasks of ≈96 µs).
 
-use tdm_runtime::task::{DependenceSpec, TaskSpec, Workload};
+use tdm_runtime::task::{DependenceSpec, TaskSpec};
 
 use crate::dense::{scale_duration, BlockMatrix};
 use crate::spec::micros;
@@ -145,23 +145,6 @@ pub fn stream_scaled(target_tasks: usize) -> TaskStream {
     )
 }
 
-/// Generates the QR workload (the eager `collect()` of [`stream`]).
-pub fn generate(params: Params) -> Workload {
-    stream(params).into_workload()
-}
-
-/// Software-optimal granularity: 1,496 tasks of ≈997 µs.
-pub fn software_optimal() -> Workload {
-    generate(Params {
-        blocks: SOFTWARE_BLOCKS,
-    })
-}
-
-/// TDM-optimal granularity: 11,440 tasks of ≈96 µs.
-pub fn tdm_optimal() -> Workload {
-    generate(Params { blocks: TDM_BLOCKS })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,19 +159,19 @@ mod tests {
 
     #[test]
     fn software_point_matches_calibration() {
-        let w = software_optimal();
+        let w = Benchmark::Qr.software_workload();
         check_calibration(&w, Benchmark::Qr.table2_software(), 0.02, 0.03).unwrap();
     }
 
     #[test]
     fn tdm_point_matches_calibration() {
-        let w = tdm_optimal();
+        let w = Benchmark::Qr.tdm_workload();
         check_calibration(&w, Benchmark::Qr.table2_tdm(), 0.02, 0.03).unwrap();
     }
 
     #[test]
     fn tsqrt_chain_serializes_the_panel() {
-        let w = generate(Params { blocks: 4 });
+        let w = stream(Params { blocks: 4 }).into_workload();
         let graph = TaskGraph::build(&w);
         // Within a panel, every tsqrt touches the diagonal block (inout), so
         // the panel factorization is a chain; across panels the trailing
@@ -200,15 +183,15 @@ mod tests {
 
     #[test]
     fn finer_granularity_means_more_shorter_tasks() {
-        let sw = software_optimal();
-        let tdm = tdm_optimal();
+        let sw = Benchmark::Qr.software_workload();
+        let tdm = Benchmark::Qr.tdm_workload();
         assert!(tdm.len() > 7 * sw.len());
         assert!(tdm.average_duration() < sw.average_duration());
     }
 
     #[test]
     fn kernel_mix_matches_closed_form() {
-        let w = generate(Params { blocks: 8 });
+        let w = stream(Params { blocks: 8 }).into_workload();
         let count = |k: &str| w.tasks.iter().filter(|t| t.kind == k).count();
         assert_eq!(count("geqrt"), 8);
         assert_eq!(count("unmqr"), 28);

@@ -3,10 +3,9 @@
 //! A [`TaskStream`] is a named, length-known iterator of
 //! [`TaskSpec`]s carrying the workload-level
 //! modelling knobs (locality benefit, duration jitter). Every Table II
-//! generator produces one (e.g. [`crate::cholesky::stream`]); the eager
-//! `generate` entry points are thin [`TaskStream::into_workload`] wrappers
-//! kept for compatibility, so the two forms are task-for-task identical by
-//! construction.
+//! generator produces one (e.g. [`crate::cholesky::stream`]), and
+//! [`TaskStream::into_workload`] collects it into an eager workload, so the
+//! two forms are task-for-task identical by construction.
 //!
 //! `TaskStream` implements [`TaskSource`], the driver-side trait, so it can
 //! be fed straight to
@@ -31,8 +30,8 @@
 //! assert_eq!(stream.len(), cholesky::task_count(8));
 //! let first = stream.next_task().unwrap();
 //! assert_eq!(first.kind, "spotrf");
-//! // Collecting the rest gives exactly what the eager generator builds.
-//! let eager = cholesky::generate(cholesky::Params { blocks: 8 });
+//! // A fresh stream collected eagerly starts with the same task.
+//! let eager = cholesky::stream(cholesky::Params { blocks: 8 }).into_workload();
 //! assert_eq!(eager.tasks[0], first);
 //! ```
 
@@ -120,9 +119,9 @@ impl TaskStream {
         self.remaining == 0
     }
 
-    /// Drains the stream into an eager [`Workload`] — the compatibility path
-    /// behind every generator's `generate` / `software_optimal` /
-    /// `tdm_optimal` function.
+    /// Drains the stream into an eager [`Workload`], as
+    /// [`Benchmark::software_workload`](crate::Benchmark::software_workload)
+    /// and [`Benchmark::tdm_workload`](crate::Benchmark::tdm_workload) do.
     ///
     /// # Panics
     ///

@@ -8,7 +8,7 @@
 //! plus one reduction each (42,100 tasks, within 0.04 % of the reported
 //! 42,115), with an average duration of ≈376 µs.
 
-use tdm_runtime::task::{DependenceSpec, TaskSpec, Workload};
+use tdm_runtime::task::{DependenceSpec, TaskSpec};
 
 use crate::spec::micros;
 use crate::stream::TaskStream;
@@ -89,22 +89,6 @@ pub fn stream_scaled(target_tasks: usize) -> TaskStream {
     })
 }
 
-/// Generates the Streamcluster workload (the eager `collect()` of
-/// [`stream`]).
-pub fn generate(params: Params) -> Workload {
-    stream(params).into_workload()
-}
-
-/// Optimal granularity (software and TDM coincide): 42,100 tasks of ≈376 µs.
-pub fn software_optimal() -> Workload {
-    generate(Params::default())
-}
-
-/// See [`software_optimal`].
-pub fn tdm_optimal() -> Workload {
-    software_optimal()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,17 +98,18 @@ mod tests {
 
     #[test]
     fn task_count_and_duration_match_table2() {
-        let w = software_optimal();
+        let w = Benchmark::Streamcluster.software_workload();
         assert_eq!(w.len(), 42_100);
         check_calibration(&w, Benchmark::Streamcluster.table2_software(), 0.01, 0.02).unwrap();
     }
 
     #[test]
     fn phases_are_separated_by_reductions() {
-        let w = generate(Params {
+        let w = stream(Params {
             batches: 4,
             phases: 3,
-        });
+        })
+        .into_workload();
         let graph = TaskGraph::build(&w);
         // The reduction of phase 0 (task 4) waits for all 4 batches (WAR on
         // the centers structure they all read).
@@ -141,10 +126,11 @@ mod tests {
 
     #[test]
     fn batches_within_a_phase_are_parallel() {
-        let w = generate(Params {
+        let w = stream(Params {
             batches: 6,
             phases: 1,
-        });
+        })
+        .into_workload();
         let graph = TaskGraph::build(&w);
         assert_eq!(graph.roots().len(), 6);
         for b in 0..6 {
@@ -154,14 +140,16 @@ mod tests {
 
     #[test]
     fn granularity_sweep_preserves_work_per_phase() {
-        let fine = generate(Params {
+        let fine = stream(Params {
             batches: 1024,
             phases: 2,
-        });
-        let coarse = generate(Params {
+        })
+        .into_workload();
+        let coarse = stream(Params {
             batches: 64,
             phases: 2,
-        });
+        })
+        .into_workload();
         let ratio = coarse.total_work().as_f64() / fine.total_work().as_f64();
         assert!((0.9..1.1).contains(&ratio), "work ratio {ratio}");
     }

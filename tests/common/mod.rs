@@ -78,6 +78,7 @@ pub fn drive(engine: &mut dyn DependenceEngine, workload: &Workload) -> Vec<Task
     // `remove(0)` per executed task).
     let mut ready = Vec::new();
     let mut pool: VecDeque<tdm::runtime::engine::ReadyInfo> = VecDeque::new();
+    let (mut costs, mut spans) = (Vec::new(), Vec::new());
     let mut next = 0usize;
     while order.len() < n {
         if next < n {
@@ -98,7 +99,15 @@ pub fn drive(engine: &mut dyn DependenceEngine, workload: &Workload) -> Vec<Task
             panic!("engine deadlocked with {} tasks left", n - order.len());
         };
         ready.clear();
-        engine.finish_task(Cycle::ZERO, info.task, 0, &mut ready);
+        costs.clear();
+        spans.clear();
+        engine.finish_batch(
+            Cycle::ZERO,
+            &[(info.task, 0)],
+            &mut costs,
+            &mut ready,
+            &mut spans,
+        );
         pool.extend(ready.drain(..));
         order.push(info.task);
     }

@@ -17,7 +17,9 @@
 //! * **retirement degrades gracefully** — with sticky core faults the
 //!   survivors (ultimately the exempt master) still drain the workload;
 //! * **resume is bit-exact through faults** — a run checkpointed between a
-//!   failure and its retry resumes to the uninterrupted run's outcome.
+//!   failure and its retry resumes to the uninterrupted run's outcome;
+//! * **fault state is bounded by the window** — a finished task's failure
+//!   count is dropped, so checkpoints do not grow with the run.
 
 use crate::common::{assert_is_permutation, small_benchmark_streams, small_benchmarks};
 use crate::{all_backends, conformance_config};
@@ -25,7 +27,7 @@ use tdm::prelude::*;
 use tdm::runtime::exec::{
     resume_stream_outcome, simulate_stream, simulate_stream_checkpointed_outcome,
 };
-use tdm::sim::snapshot::Snapshot;
+use tdm::sim::snapshot::{section, Persist, Reader, Snapshot};
 
 /// A fault schedule that exercises retries but can never abort: the
 /// per-task cap stays below the retry budget, so every faulted task
@@ -286,5 +288,50 @@ fn resume_refuses_diverging_fault_configuration() {
     assert!(
         err.to_string().contains("fault configuration"),
         "wrong error: {err}"
+    );
+}
+
+/// Only tasks that failed and have not finished yet keep a failure count,
+/// and those are in flight, so every checkpoint of a faulted stream lists
+/// at most `window` counts in its FAULT section, however many tasks failed
+/// before it.
+#[test]
+fn fault_failure_counts_stay_bounded_by_the_window() {
+    let window = 64;
+    let config = conformance_config()
+        .with_window(window)
+        .with_faults(FaultConfig::default().with_fault_rate(0.3))
+        .with_checkpoint_every(Cycle::new(10_000_000));
+    let mut stream = Benchmark::Cholesky.software_stream();
+    let mut checkpoints = 0usize;
+    let mut most_counts = 0usize;
+    let outcome = simulate_stream_checkpointed_outcome(
+        &mut stream,
+        &Backend::tdm_default(),
+        SchedulerKind::Fifo,
+        &config,
+        &mut |snap| {
+            let fault = snap
+                .section(section::FAULT)
+                .expect("FAULT is always written");
+            let counts = Vec::<(u64, u32)>::load(&mut Reader::new(fault)).expect("failure counts");
+            checkpoints += 1;
+            most_counts = most_counts.max(counts.len());
+            true
+        },
+    )
+    .expect("sink never halts");
+    let RunOutcome::Completed(report) = outcome else {
+        panic!("one fault per task never exhausts the retry budget: {outcome:?}");
+    };
+    assert!(
+        report.faults_injected > 4 * window as u64,
+        "too few faults to test the bound: {}",
+        report.faults_injected
+    );
+    assert!(checkpoints >= 4, "only {checkpoints} checkpoints captured");
+    assert!(
+        most_counts <= window,
+        "a checkpoint listed {most_counts} failure counts for a window of {window}"
     );
 }

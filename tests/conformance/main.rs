@@ -21,7 +21,6 @@
 #[path = "../common/mod.rs"]
 mod common;
 
-mod batching;
 mod determinism;
 mod faults;
 mod grammar;

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{assert_is_permutation, drive, random_workload};
+use common::{assert_is_permutation, drive, random_workload, small_benchmarks};
 use tdm::core::config::DmuConfig;
 use tdm::prelude::*;
 use tdm::runtime::cost::CostModel;
@@ -118,12 +118,7 @@ fn simulation_always_completes() {
 fn benchmark_workloads_complete_on_all_backends_scaled_down() {
     // Scaled-down versions of the structured benchmarks exercise every
     // backend in a few seconds even in debug builds.
-    use tdm::workloads::{cholesky, histogram, qr};
-    let workloads = vec![
-        cholesky::generate(cholesky::Params { blocks: 8 }),
-        qr::generate(qr::Params { blocks: 8 }),
-        histogram::generate(histogram::Params { stripes: 32 }),
-    ];
+    let workloads = small_benchmarks();
     let config = ExecConfig {
         chip: ChipConfig::with_cores(8),
         ..ExecConfig::default()

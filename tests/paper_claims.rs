@@ -5,7 +5,7 @@
 use tdm::energy::chip::ChipPowerModel;
 use tdm::energy::edp::evaluate;
 use tdm::prelude::*;
-use tdm::workloads::{cholesky, dedup, qr};
+use tdm::workloads::cholesky;
 
 fn config(cores: usize) -> ExecConfig {
     ExecConfig {
@@ -20,7 +20,7 @@ fn config(cores: usize) -> ExecConfig {
 fn tdm_beats_software_on_cholesky() {
     // The Table II granularity (32×32 blocks): the software runtime's task
     // creation is the bottleneck at this point.
-    let workload = cholesky::software_optimal();
+    let workload = Benchmark::Cholesky.software_workload();
     let cfg = config(32);
     let sw = simulate(&workload, &Backend::Software, SchedulerKind::Fifo, &cfg);
     let tdm = simulate(
@@ -52,7 +52,7 @@ fn tdm_beats_software_on_cholesky() {
 /// chain with compression work; FIFO does not.
 #[test]
 fn priority_scheduling_helps_dedup() {
-    let workload = dedup::generate();
+    let workload = Benchmark::Dedup.software_workload();
     let cfg = config(32);
     let backend = Backend::tdm_default();
     let fifo = simulate(&workload, &backend, SchedulerKind::Fifo, &cfg);
@@ -73,7 +73,7 @@ fn priority_scheduling_helps_dedup() {
 /// TDM (Figure 10).
 #[test]
 fn master_creation_share_drops_with_tdm() {
-    let workload = cholesky::generate(cholesky::Params { blocks: 16 });
+    let workload = cholesky::stream(cholesky::Params { blocks: 16 }).into_workload();
     let cfg = config(32);
     let sw = simulate(&workload, &Backend::Software, SchedulerKind::Fifo, &cfg);
     let tdm = simulate(
@@ -90,7 +90,7 @@ fn master_creation_share_drops_with_tdm() {
 /// on dependence-heavy workloads.
 #[test]
 fn tdm_matches_or_beats_task_superscalar() {
-    let workload = cholesky::generate(cholesky::Params { blocks: 16 });
+    let workload = cholesky::stream(cholesky::Params { blocks: 16 }).into_workload();
     let cfg = config(32);
     let sw = simulate(&workload, &Backend::Software, SchedulerKind::Fifo, &cfg);
     let carbon = simulate(&workload, &Backend::Carbon, SchedulerKind::Fifo, &cfg);
@@ -114,8 +114,8 @@ fn tdm_matches_or_beats_task_superscalar() {
 /// software runtime and TDM really do prefer the finer version under TDM.
 #[test]
 fn finer_granularity_pays_off_under_tdm_for_qr() {
-    let coarse = qr::software_optimal();
-    let fine = qr::tdm_optimal();
+    let coarse = Benchmark::Qr.software_workload();
+    let fine = Benchmark::Qr.tdm_workload();
     let cfg = config(32);
     // Under TDM, the fine-grained version is faster.
     let tdm_fine = simulate(&fine, &Backend::tdm_default(), SchedulerKind::Fifo, &cfg);
@@ -130,7 +130,7 @@ fn finer_granularity_pays_off_under_tdm_for_qr() {
 /// task granularities.
 #[test]
 fn dmu_latency_is_not_critical() {
-    let workload = cholesky::generate(cholesky::Params { blocks: 16 });
+    let workload = cholesky::stream(cholesky::Params { blocks: 16 }).into_workload();
     let cfg = config(16);
     let fast = simulate(
         &workload,

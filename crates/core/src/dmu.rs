@@ -241,29 +241,9 @@ impl Dmu {
         self.stats
     }
 
-    /// Number of tasks currently tracked.
-    pub fn in_flight_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Number of dependences currently tracked.
-    pub fn in_flight_deps(&self) -> usize {
-        self.deps.len()
-    }
-
-    /// Number of tasks currently waiting in the Ready Queue.
-    pub fn ready_count(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Average number of occupied DAT sets over the run (Figure 11 metric).
     pub fn dat_average_occupied_sets(&self) -> f64 {
         self.dat.occupancy().average_occupied_sets()
-    }
-
-    /// Current number of occupied DAT sets.
-    pub fn dat_occupied_sets(&self) -> usize {
-        self.dat.occupied_sets()
     }
 
     /// Per-access latency configured for every DMU structure.

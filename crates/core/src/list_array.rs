@@ -284,18 +284,6 @@ impl ListArray {
         })
     }
 
-    /// Returns the elements of the list in insertion order together with the
-    /// number of entries walked.
-    pub fn iter_with_walk(&self, handle: ListHandle) -> (Vec<u32>, Walk) {
-        let values = self.iter(handle).collect();
-        (
-            values,
-            Walk {
-                entries_touched: self.entries_spanned(handle),
-            },
-        )
-    }
-
     /// Iterates over the elements of the list in insertion order without
     /// allocating. The list must not be mutated while the iterator lives
     /// (the borrow checker enforces this), which is what the DMU's hot

@@ -123,18 +123,19 @@ pub trait DependenceEngine: Send {
         ready: &mut Vec<ReadyInfo>,
     ) -> CreationOutcome;
 
-    /// Notifies that a same-cycle batch of tasks finished at time `now`, in
-    /// event order; each element pairs a task with the core it ran on. For
-    /// each finish, appends the cycles the finishing core spent (DEPS) to
-    /// `costs`, the tasks it readied to `ready`, and their `(start, end)`
-    /// range in `ready` to `spans`. All three buffers are caller-owned and
-    /// append-only; the caller clears them between batches.
+    /// Notifies that the tasks in `finishes` finished at time `now`; each
+    /// element pairs a task with the core it ran on. For each finish,
+    /// appends the cycles the finishing core spent (DEPS) to `costs`, the
+    /// tasks it readied to `ready`, and their `(start, end)` range in
+    /// `ready` to `spans`. All three buffers are caller-owned and
+    /// append-only; the caller clears them between calls.
     ///
-    /// Finishes are processed one at a time at `now`, in batch order, so a
-    /// batch only amortizes host work (dispatch, buffer churn, repeated
-    /// lookups), the way the DMU's `add_dependences` batches one task's
-    /// dependences. A failed execution attempt never reaches the engine:
-    /// the task stays in flight until a retry finishes it.
+    /// Finishes are processed one at a time at `now`, in slice order, so one
+    /// call with several finishes equals one call per finish. The execution
+    /// driver passes one finish per call, like the paper's runtime issuing
+    /// one `finish_task` per completed task. A failed execution attempt
+    /// never reaches the engine: the task stays in flight until a retry
+    /// finishes it.
     ///
     /// # Panics
     ///
@@ -576,12 +577,6 @@ impl HardwareEngine {
         }
     }
 
-    /// Direct access to the underlying DMU (used by tests and by the
-    /// design-space-exploration harnesses).
-    pub fn dmu(&self) -> &Dmu {
-        &self.dmu
-    }
-
     /// Returns the descriptor address of `task`, allocating a descriptor slot
     /// the first time it is asked for during creation.
     fn descriptor(&mut self, task: TaskRef) -> DescriptorAddr {
@@ -777,11 +772,9 @@ impl DependenceEngine for HardwareEngine {
         }
     }
 
-    /// One virtual call, one woken-buffer take/restore and one latency
-    /// lookup for the whole same-cycle batch. Each finish issues its own
-    /// `finish_task` instruction at `now` and drains the ready queue after
-    /// it. The woken list is reported through that drain; the reusable
-    /// buffer only avoids a per-finish allocation.
+    /// Each finish issues its own `finish_task` instruction at `now` and
+    /// drains the ready queue after it. The woken list is reported through
+    /// that drain; the reusable buffer only avoids a per-finish allocation.
     fn finish_batch(
         &mut self,
         now: Cycle,

@@ -424,11 +424,6 @@ impl RunOutcome {
             RunOutcome::Completed(report) | RunOutcome::Aborted { report, .. } => report,
         }
     }
-
-    /// True if the run aborted on an exhausted retry budget.
-    pub fn is_aborted(&self) -> bool {
-        matches!(self, RunOutcome::Aborted { .. })
-    }
 }
 
 /// Unwraps a completed outcome for [`simulate`] and [`simulate_stream`],
@@ -897,21 +892,6 @@ impl Persist for RunningTask {
     }
 }
 
-/// What the master core does in Phase 2 of the current batch, decided while
-/// the batch's engine work is issued (Pass A of [`run_core`]) and replayed
-/// with the driver bookkeeping (Pass B).
-enum MasterPlan {
-    /// No creation attempt this batch (master absent, throttled, or the feed
-    /// is exhausted): plain worker behaviour.
-    None,
-    /// The in-flight window is full: mark the master throttled, then worker
-    /// behaviour.
-    Throttle,
-    /// A creation was attempted; the tasks it readied are in the create
-    /// buffer.
-    Created { cost: Cycle, completed: bool },
-}
-
 /// The blocks of the task a core is starting, refilled per start so the
 /// driver allocates nothing per task. Each set holds what
 /// [`TaskSpec::working_set`], [`TaskSpec::read_set`] and
@@ -1009,19 +989,12 @@ fn run_core<F: TaskFeed>(
         .as_ref()
         .map(|fc| FaultPlan::new(config.seed, fc.clone()));
     let mut fault_state = FaultState::new(num_cores);
-    // Batch buffers reused across cycles: the tasks finishing this cycle in
-    // event order (paired with their core), the per-finish costs, the tasks
-    // those finishes readied (with per-finish `[start, end)` spans into the
-    // shared buffer), and the tasks the master's creation attempt readied.
-    let mut fin_tasks: Vec<(TaskRef, usize)> = Vec::new();
-    let mut fin_costs: Vec<Cycle> = Vec::new();
-    let mut fin_spans: Vec<(usize, usize)> = Vec::new();
-    let mut fin_ready: Vec<ReadyInfo> = Vec::new();
-    let mut create_ready: Vec<ReadyInfo> = Vec::new();
-    // Injected failures of this batch, in event order: the failing task
-    // (with the successor count its re-issue must carry) and the core it
-    // failed on.
-    let mut fail_events: Vec<(RunningTask, usize)> = Vec::new();
+    // Engine outputs reused across events so the loop allocates nothing per
+    // operation: a finish's cost and `[start, end)` span, and the tasks a
+    // finish or a creation readied.
+    let mut fin_cost: Vec<Cycle> = Vec::new();
+    let mut fin_span: Vec<(usize, usize)> = Vec::new();
+    let mut ready: Vec<ReadyInfo> = Vec::new();
     let mut block_sets = BlockSets::default();
     let mut next_create = 0usize;
     let mut finished = 0usize;
@@ -1081,6 +1054,16 @@ fn run_core<F: TaskFeed>(
             });
         }
         events = snapshot::from_payload(snap.section(section::EVENTS)?, "EVENTS")?;
+        let mut pending = events.clone();
+        while let Some((_, core)) = pending.pop() {
+            if core >= num_cores && core != RETRY_EVENT {
+                return Err(SnapshotError::Corrupt {
+                    context: format!(
+                        "EVENTS holds an event for core {core}, but the run has {num_cores} cores"
+                    ),
+                });
+            }
+        }
         let mut r = Reader::new(snap.section(section::SCHEDULER)?);
         pool.load_state(&mut r)?;
         r.expect_end("SCHEDULER")?;
@@ -1105,6 +1088,15 @@ fn run_core<F: TaskFeed>(
                 context: format!(
                     "DRIVER section covers {} cores, expected {num_cores}",
                     running.len()
+                ),
+            });
+        }
+        if let Some(core) = (num_cores..idle_words.len() * 64)
+            .find(|&core| idle_words[core >> 6] & (1 << (core & 63)) != 0)
+        {
+            return Err(SnapshotError::Corrupt {
+                context: format!(
+                    "DRIVER idle set holds core {core}, but the run has {num_cores} cores"
                 ),
             });
         }
@@ -1137,145 +1129,6 @@ fn run_core<F: TaskFeed>(
     // one-pop-at-a-time loop this replaces.
     let mut batch: Vec<usize> = Vec::new();
     while let Some(now) = events.pop_batch(&mut batch) {
-        // ------------------------------------------------------------------
-        // Pass A: every engine call of this batch, issued in event order.
-        //
-        // The engine sees exactly the operation sequence the per-event loop
-        // would issue — finishes of cores up to and including the master,
-        // the master's creation attempt, then the remaining finishes — but
-        // the finish runs go through `finish_batch`, which amortises
-        // per-call work across the whole cycle. Engine calls never read the
-        // scheduler pool, the idle set or the event queue, and the driver
-        // bookkeeping replayed in Pass B never touches the engine, so the
-        // two-pass split is observably identical to the interleaved loop it
-        // replaces.
-        // ------------------------------------------------------------------
-        fin_tasks.clear();
-        fin_costs.clear();
-        fin_spans.clear();
-        fin_ready.clear();
-        create_ready.clear();
-        fail_events.clear();
-        let mut master_plan = MasterPlan::None;
-        // Set when the master's own task failed this batch: the detection
-        // latency that delays its creation attempt, standing in for the
-        // finish-cost path below.
-        let mut master_fail_cost: Option<Cycle> = None;
-
-        // Files one batch event's completion, if `core` was running a task:
-        // a failure is queued for Pass B and never reaches the engine, a
-        // finish waits for the next `finish_batch`. Returns whether the task
-        // failed.
-        let mut file_completion = |core: usize, fin_tasks: &mut Vec<(TaskRef, usize)>| -> bool {
-            if core == RETRY_EVENT {
-                return false;
-            }
-            let Some(rt) = running[core].take() else {
-                return false;
-            };
-            // Completion boundary: decide transient failure (the task's
-            // result is lost, it must re-run) and sticky core retirement
-            // (this completion is the core's last). Both are pure draws
-            // keyed on stable identities, so the decisions are identical
-            // across backends, schedulers and resume.
-            let completion = fault_state.record_completion(core);
-            let mut failed = false;
-            if let Some(plan) = &fault_plan {
-                failed = plan.should_fail(rt.task, fault_state.failure_count(rt.task));
-                if !failed {
-                    // A finished task never runs again, so its failure
-                    // count is never read: dropping it keeps the FAULT
-                    // section bounded by the window.
-                    fault_state.forget_failures(rt.task);
-                }
-                if core != master && plan.should_retire(core, completion) {
-                    fault_state.retire(core);
-                }
-            }
-            if failed {
-                fail_events.push((rt, core));
-            } else {
-                fin_tasks.push((rt.task, core));
-            }
-            failed
-        };
-        let master_pos = batch.iter().position(|&c| c == master);
-        let split = master_pos.map_or(batch.len(), |pos| pos + 1);
-        for &core in &batch[..split] {
-            if file_completion(core, &mut fin_tasks) && core == master {
-                master_fail_cost = fault_plan.as_ref().map(|plan| plan.config().detect_cost);
-            }
-        }
-        engine.finish_batch(
-            now,
-            &fin_tasks,
-            &mut fin_costs,
-            &mut fin_ready,
-            &mut fin_spans,
-        );
-        for &(task, _) in &fin_tasks {
-            feed.release(task);
-        }
-        let first_run = fin_tasks.len();
-
-        if master_pos.is_some() {
-            // The master's creation decision, evaluated against the state it
-            // observes mid-batch: finishes processed before its event reset
-            // the throttle and shrink the in-flight window.
-            let finished_mid = finished + first_run;
-            let throttled_mid = master_throttled && first_run == 0;
-            if !throttled_mid && !feed.exhausted(next_create) {
-                if next_create - finished_mid >= window {
-                    master_plan = MasterPlan::Throttle;
-                } else {
-                    // The cycle the master reaches its creation attempt at:
-                    // its own finish cost plus one push per task that finish
-                    // readied — or, if its own task failed this batch, the
-                    // failure-detection path instead.
-                    let mut t_master = now;
-                    if let Some(cost) = master_fail_cost {
-                        t_master = now + cost;
-                    } else if let Some(&(_, last_core)) = fin_tasks.last() {
-                        if last_core == master {
-                            let (start, end) = fin_spans[first_run - 1];
-                            t_master = now
-                                + fin_costs[first_run - 1]
-                                + push_cost.scaled((end - start) as u64);
-                        }
-                    }
-                    let task = TaskRef(next_create);
-                    let outcome = {
-                        let spec = feed.fetch(next_create);
-                        engine.create_task(t_master, task, spec, &mut create_ready)
-                    };
-                    peak_resident = peak_resident.max(feed.resident());
-                    master_plan = MasterPlan::Created {
-                        cost: outcome.cost,
-                        completed: outcome.completed,
-                    };
-                }
-            }
-            let before = fin_tasks.len();
-            for &core in &batch[split..] {
-                file_completion(core, &mut fin_tasks);
-            }
-            engine.finish_batch(
-                now,
-                &fin_tasks[before..],
-                &mut fin_costs,
-                &mut fin_ready,
-                &mut fin_spans,
-            );
-            for &(task, _) in &fin_tasks[before..] {
-                feed.release(task);
-            }
-        }
-
-        // ------------------------------------------------------------------
-        // Pass B: driver bookkeeping, replayed per event in batch order.
-        // ------------------------------------------------------------------
-        let mut fin_idx = 0usize;
-        let mut fail_idx = 0usize;
         for &core in &batch {
             // ------------------------------------------------------------------
             // Phase 0: retry dispatch. A sentinel event re-issues every due
@@ -1305,72 +1158,92 @@ fn run_core<F: TaskFeed>(
             let mut t = now;
 
             // ------------------------------------------------------------------
-            // Phase 0b: the injected failure this core contributed, if any.
-            // The task never finished: dependents stay blocked, the window
-            // stays occupied and the master throttle is NOT reset. The core
-            // pays the fault-detection latency (the engine never sees the
-            // attempt), then the task is queued for re-issue after a linear
-            // backoff — or, past the retry budget, the run aborts at the end
-            // of this batch.
-            // ------------------------------------------------------------------
-            if fail_idx < fail_events.len() && fail_events[fail_idx].1 == core {
-                let (rt, _) = fail_events[fail_idx];
-                fail_idx += 1;
-                let plan = fault_plan
-                    .as_ref()
-                    .expect("failures are only injected when a fault plan exists");
-                let cost = plan.config().detect_cost;
-                stats.cores[core].add(Phase::Deps, cost);
-                t += cost;
-                makespan = makespan.max(t);
-                let count = fault_state.record_failure(rt.task);
-                if count > plan.config().retry_budget {
-                    if aborted.is_none() {
-                        aborted = Some((rt.task, count));
-                    }
-                } else {
-                    let due = t + plan.backoff_delay(count);
-                    fault_state.push_retry(due, rt.task, rt.num_successors);
-                    events.schedule(due, RETRY_EVENT);
-                }
-            }
-
-            // ------------------------------------------------------------------
-            // Phase 1: the finish this core contributed to the batch, if any.
+            // Phase 1: the completion of the task this core was running, if
+            // any. The completion boundary decides transient failure (the
+            // task's result is lost, it must re-run) and sticky core
+            // retirement (this completion is the core's last). Both are pure
+            // draws keyed on stable identities, so the decisions are
+            // identical across backends, schedulers and resume.
             // ------------------------------------------------------------------
             let mut finished_here = false;
-            if fin_idx < fin_tasks.len() && fin_tasks[fin_idx].1 == core {
-                let (task, _) = fin_tasks[fin_idx];
-                let fin_cost = fin_costs[fin_idx];
-                let (start, end) = fin_spans[fin_idx];
-                fin_idx += 1;
-                // Any finish releases DMU resources and shrinks the in-flight
-                // window, so a throttled master may retry creation at its next
-                // opportunity.
-                master_throttled = false;
-                stats.cores[core].add(Phase::Deps, fin_cost);
-                t += fin_cost;
-                finished += 1;
-                finished_here = true;
-                if config.trace_schedule {
-                    schedule.push(ScheduledTask {
-                        task,
-                        core,
-                        finish: t,
-                    });
+            if let Some(rt) = running[core].take() {
+                let completion = fault_state.record_completion(core);
+                let mut failed_under = None;
+                if let Some(plan) = &fault_plan {
+                    if plan.should_fail(rt.task, fault_state.failure_count(rt.task)) {
+                        failed_under = Some(plan);
+                    } else {
+                        // A finished task never runs again, so its failure
+                        // count is never read: dropping it keeps the FAULT
+                        // section bounded by the window.
+                        fault_state.forget_failures(rt.task);
+                    }
+                    if core != master && plan.should_retire(core, completion) {
+                        fault_state.retire(core);
+                    }
                 }
-                makespan = makespan.max(t);
-                push_ready(
-                    &fin_ready[start..end],
-                    Some(core),
-                    &mut t,
-                    core,
-                    &mut *pool,
-                    &mut stats,
-                    push_cost,
-                    &mut idle_set,
-                    &mut events,
-                );
+                if let Some(plan) = failed_under {
+                    // An injected failure: the task never finished, so
+                    // dependents stay blocked, the window stays occupied and
+                    // the master throttle is NOT reset. The core pays the
+                    // fault-detection latency (the engine never sees the
+                    // attempt), then the task is queued for re-issue after a
+                    // linear backoff — or, past the retry budget, the run
+                    // aborts at the end of this batch.
+                    let cost = plan.config().detect_cost;
+                    stats.cores[core].add(Phase::Deps, cost);
+                    t += cost;
+                    makespan = makespan.max(t);
+                    let count = fault_state.record_failure(rt.task);
+                    if count > plan.config().retry_budget {
+                        if aborted.is_none() {
+                            aborted = Some((rt.task, count));
+                        }
+                    } else {
+                        let due = t + plan.backoff_delay(count);
+                        fault_state.push_retry(due, rt.task, rt.num_successors);
+                        events.schedule(due, RETRY_EVENT);
+                    }
+                } else {
+                    fin_cost.clear();
+                    fin_span.clear();
+                    ready.clear();
+                    engine.finish_batch(
+                        now,
+                        &[(rt.task, core)],
+                        &mut fin_cost,
+                        &mut ready,
+                        &mut fin_span,
+                    );
+                    feed.release(rt.task);
+                    // Any finish releases DMU resources and shrinks the
+                    // in-flight window, so a throttled master may retry
+                    // creation at its next opportunity.
+                    master_throttled = false;
+                    stats.cores[core].add(Phase::Deps, fin_cost[0]);
+                    t += fin_cost[0];
+                    finished += 1;
+                    finished_here = true;
+                    if config.trace_schedule {
+                        schedule.push(ScheduledTask {
+                            task: rt.task,
+                            core,
+                            finish: t,
+                        });
+                    }
+                    makespan = makespan.max(t);
+                    push_ready(
+                        &ready,
+                        Some(core),
+                        &mut t,
+                        core,
+                        &mut *pool,
+                        &mut stats,
+                        push_cost,
+                        &mut idle_set,
+                        &mut events,
+                    );
+                }
             }
 
             // A finish frees DMU resources (and may ready tasks): make sure a
@@ -1384,7 +1257,8 @@ fn run_core<F: TaskFeed>(
             }
 
             // ------------------------------------------------------------------
-            // Phase 2: the master's creation attempt, decided in Pass A.
+            // Phase 2: the master's creation attempt, at its own `t` after its
+            // completion.
             //
             // When a creation attempt stalls on a full DMU structure, or the
             // in-flight count reaches the configured window, the master does not
@@ -1392,37 +1266,35 @@ fn run_core<F: TaskFeed>(
             // worker path, executes a task (or goes idle) and retries creation
             // after the next finish.
             // ------------------------------------------------------------------
-            if core == master {
-                match master_plan {
-                    MasterPlan::None => {}
-                    MasterPlan::Throttle => {
-                        master_throttled = true;
-                        // Fall through to the worker path while the window
-                        // drains.
+            if core == master && !master_throttled && !feed.exhausted(next_create) {
+                if next_create - finished >= window {
+                    master_throttled = true;
+                } else {
+                    ready.clear();
+                    let outcome = {
+                        let spec = feed.fetch(next_create);
+                        engine.create_task(t, TaskRef(next_create), spec, &mut ready)
+                    };
+                    peak_resident = peak_resident.max(feed.resident());
+                    stats.cores[master].add(Phase::Deps, outcome.cost);
+                    t += outcome.cost;
+                    push_ready(
+                        &ready,
+                        None,
+                        &mut t,
+                        master,
+                        &mut *pool,
+                        &mut stats,
+                        push_cost,
+                        &mut idle_set,
+                        &mut events,
+                    );
+                    if outcome.completed {
+                        next_create += 1;
+                        events.schedule(t, master);
+                        continue;
                     }
-                    MasterPlan::Created { cost, completed } => {
-                        stats.cores[master].add(Phase::Deps, cost);
-                        t += cost;
-                        push_ready(
-                            &create_ready,
-                            None,
-                            &mut t,
-                            master,
-                            &mut *pool,
-                            &mut stats,
-                            push_cost,
-                            &mut idle_set,
-                            &mut events,
-                        );
-                        if completed {
-                            next_create += 1;
-                            events.schedule(t, master);
-                            continue;
-                        }
-                        master_throttled = true;
-                        // Fall through to the worker path: execute something
-                        // (or idle) while the DMU drains.
-                    }
+                    master_throttled = true;
                 }
             }
 
@@ -1483,10 +1355,9 @@ fn run_core<F: TaskFeed>(
             break;
         }
 
-        // Periodic checkpoint capture. The bottom of the batch is the one
-        // point where no per-batch scratch is live — the fin_*/create
-        // buffers and the master plan have all been consumed — so the full
-        // run state is exactly the long-lived locals serialised here.
+        // Periodic checkpoint capture, between batches: no per-operation
+        // scratch (the engine output buffers) is live here, so the full run
+        // state is exactly the long-lived locals serialised here.
         if let Some(ctl) = checkpoint.as_mut() {
             if now >= ctl.next_at {
                 ctl.next_at = now + ctl.every;
@@ -2410,6 +2281,47 @@ mod tests {
                 "section {id:#04x}: {err}"
             );
             assert!(err.to_string().contains(names), "section {id:#04x}: {err}");
+        }
+    }
+
+    #[test]
+    fn resume_refuses_core_ids_the_run_does_not_have() {
+        let w = independent_workload(200, 5.0);
+        let chip = ChipConfig::default();
+        let config = small_chip(4).with_checkpoint_every(chip.micros(1.0));
+        let (_, snaps) =
+            stream_checkpoints(&w, &Backend::tdm_default(), SchedulerKind::Fifo, &config);
+        let snap = &snaps[0];
+        // Two u64 fields overwritten in place: the payload of EVENTS' first
+        // event (after the clock, the event count and that event's time),
+        // set to core 40, and the DRIVER idle word (after the `running` and
+        // `idle_since` vectors and the word count), set to bit 40 alone.
+        let driver = snap.section(section::DRIVER).unwrap();
+        let mut r = Reader::new(driver);
+        Vec::<Option<RunningTask>>::load(&mut r).unwrap();
+        Vec::<Option<Cycle>>::load(&mut r).unwrap();
+        let idle_word_at = driver.len() - r.remaining() + 8;
+        for (id, at, value, names) in [
+            (section::EVENTS, 24, 40u64, "EVENTS"),
+            (section::DRIVER, idle_word_at, 1u64 << 40, "DRIVER"),
+        ] {
+            let mut hostile = Snapshot::new();
+            for sid in snap.section_ids() {
+                let mut payload = snap.section(sid).unwrap().to_vec();
+                if sid == id {
+                    payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                }
+                hostile.add_section(sid, payload);
+            }
+            let hostile = Snapshot::from_bytes(&hostile.to_bytes()).unwrap();
+            let err =
+                resume_stream_outcome(&mut WorkloadSource::new(&w), &hostile, &config).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Corrupt { .. }),
+                "section {id:#04x}: {err}"
+            );
+            assert!(err.to_string().contains(names), "{err}");
+            assert!(err.to_string().contains("core 40"), "{err}");
         }
     }
 

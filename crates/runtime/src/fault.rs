@@ -122,12 +122,6 @@ impl FaultConfig {
         self
     }
 
-    /// Same configuration with the failure-detection cost set.
-    pub fn with_detect_cost(mut self, cost: Cycle) -> Self {
-        self.detect_cost = cost;
-        self
-    }
-
     /// Same configuration with the sticky core-fault rate set (clamped to
     /// `[0, 1]`).
     pub fn with_core_fault_rate(mut self, rate: f64) -> Self {

@@ -215,11 +215,6 @@ impl Frequency {
         Self::hz(ghz * 1e9)
     }
 
-    /// Frequency in hertz.
-    pub fn as_hz(self) -> f64 {
-        self.hz
-    }
-
     /// Frequency in gigahertz.
     pub fn as_ghz(self) -> f64 {
         self.hz / 1e9

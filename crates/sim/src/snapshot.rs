@@ -392,11 +392,6 @@ impl Snapshot {
             .ok_or(SnapshotError::MissingSection { section: id })
     }
 
-    /// Whether section `id` is present.
-    pub fn has_section(&self, id: u32) -> bool {
-        self.sections.iter().any(|&(existing, _)| existing == id)
-    }
-
     /// The ids of all sections, in file order.
     pub fn section_ids(&self) -> Vec<u32> {
         self.sections.iter().map(|&(id, _)| id).collect()

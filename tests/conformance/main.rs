@@ -24,6 +24,7 @@ mod common;
 mod determinism;
 mod faults;
 mod grammar;
+mod same_cycle;
 mod schedule;
 mod snapshot;
 mod stats;

@@ -84,11 +84,10 @@ fn random_workloads_respect_reference_graph() {
     }
 }
 
-/// An undersized DMU forces evictions, renaming pressure and list-array
-/// overflow chaining; the schedule must still conform.
-#[test]
-fn undersized_dmu_still_conforms() {
-    let dmu = DmuConfig {
+/// A DMU with 32-entry tables, small enough to stall on the small
+/// benchmarks.
+pub fn undersized_dmu() -> DmuConfig {
+    DmuConfig {
         tat_entries: 32,
         tat_ways: 8,
         dat_entries: 32,
@@ -97,7 +96,14 @@ fn undersized_dmu_still_conforms() {
         dependence_la_entries: 32,
         reader_la_entries: 32,
         ..DmuConfig::default()
-    };
+    }
+}
+
+/// An undersized DMU forces evictions, renaming pressure and list-array
+/// overflow chaining; the schedule must still conform.
+#[test]
+fn undersized_dmu_still_conforms() {
+    let dmu = undersized_dmu();
     let config = conformance_config();
     for workload in small_benchmarks() {
         let graph = TaskGraph::build(&workload);

@@ -1,8 +1,9 @@
 //! Differential conformance fuzzer over the adversarial workload grammar.
 //!
 //! Draws N seeded grammar specs (`tdm_workloads::grammar`), runs every
-//! backend × scheduler cell of each, and checks the full differential
-//! contract against the `TaskGraph` golden model:
+//! backend × scheduler cell of each on a chip of 1–64 cores drawn from the
+//! spec's seed, and checks the full differential contract against the
+//! `TaskGraph` golden model:
 //!
 //! * **validity** — every cell's finish order is a topological order of the
 //!   reference graph and a permutation of the workload (no lost or
@@ -169,12 +170,20 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
-/// The execution configuration every check runs under: a small chip keeps
-/// 20-cell cases fast while still scheduling in parallel, and schedule
-/// tracing feeds the golden-model replay.
-fn fuzz_config() -> ExecConfig {
+/// The core count a case runs on, 1–64, drawn from bits 32–37 of its
+/// content seed. The `--seed`/`--case` and `--seed`/`--shapes` reproducers
+/// carry the seed, and with it the core count.
+fn fuzz_cores(seed: u64) -> usize {
+    1 + ((seed >> 32) % 64) as usize
+}
+
+/// The execution configuration every check of a case runs under: a chip of
+/// `cores` cores (so the driver's event queue holds up to `cores` core
+/// events plus any waiting retries), and schedule tracing for the
+/// golden-model replay.
+fn fuzz_config(cores: usize) -> ExecConfig {
     ExecConfig {
-        chip: ChipConfig::with_cores(8),
+        chip: ChipConfig::with_cores(cores),
         ..ExecConfig::default()
     }
     .with_trace_schedule()
@@ -302,7 +311,7 @@ fn check_resume(
 /// simulations executed, or the first failure. `fault`, when set, adds the
 /// fault leg on the rotating cell.
 fn check_case(spec: &GrammarSpec, fault: Option<&FaultConfig>) -> Result<usize, String> {
-    let config = fuzz_config();
+    let config = fuzz_config(fuzz_cores(spec.seed));
     let workload: Workload = spec.stream().into_workload();
     let graph = TaskGraph::build(&workload);
     let mut sims = 0usize;
@@ -501,10 +510,11 @@ fn run(options: &Options) -> Result<(), Failure> {
             reproduce: Vec::new(),
         })?;
         println!(
-            "case explicit: seed {} shapes {} ({} tasks)",
+            "case explicit: seed {} shapes {} ({} tasks, {} cores)",
             spec.seed,
             spec.encode(),
-            spec.task_count()
+            spec.task_count(),
+            fuzz_cores(spec.seed)
         );
         return match check_case(&spec, options.fault.as_ref()) {
             Ok(sims) => {
@@ -521,7 +531,7 @@ fn run(options: &Options) -> Result<(), Failure> {
                     spec.encode(),
                     options.fault_flags()
                 )],
-                message,
+                message: format!("{} cores: {message}", fuzz_cores(spec.seed)),
             }),
         };
     }
@@ -538,9 +548,10 @@ fn run(options: &Options) -> Result<(), Failure> {
             Ok(sims) => {
                 total_sims += sims;
                 println!(
-                    "case {index:3}: grammar-{content_seed} {} ({} tasks) OK",
+                    "case {index:3}: grammar-{content_seed} {} ({} tasks, {} cores) OK",
                     spec.encode(),
-                    spec.task_count()
+                    spec.task_count(),
+                    fuzz_cores(content_seed)
                 );
             }
             Err(message) => {
@@ -559,7 +570,10 @@ fn run(options: &Options) -> Result<(), Failure> {
                     ));
                 }
                 return Err(Failure {
-                    message: format!("case {index} (grammar-{content_seed}): {message}"),
+                    message: format!(
+                        "case {index} (grammar-{content_seed}, {} cores): {message}",
+                        fuzz_cores(content_seed)
+                    ),
                     reproduce,
                 });
             }

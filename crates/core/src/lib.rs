@@ -21,7 +21,7 @@
 //!
 //! The operational model of Section III-C — `create_task`, `add_dependence`
 //! (Algorithm 1), `finish_task` (Algorithm 2) and `get_ready_task` — lives in
-//! [`dmu`], with the ISA-level view in [`isa`]. Every operation reports the
+//! [`dmu`], one method per ISA instruction. Every operation reports the
 //! SRAM accesses it performed ([`access`]) so the timing simulation can
 //! charge DMU latency faithfully, and [`area`] reproduces the storage
 //! arithmetic behind Table III.
@@ -61,7 +61,6 @@ pub mod area;
 pub mod config;
 pub mod dmu;
 pub mod ids;
-pub mod isa;
 pub mod list_array;
 pub mod ready_queue;
 pub mod tables;
@@ -72,4 +71,3 @@ pub use area::DmuStorageReport;
 pub use config::{DmuConfig, IndexPolicy};
 pub use dmu::{Dmu, DmuError, DmuResult, DmuStats, ReadyTask, StallReason};
 pub use ids::{DepAddr, DepDirection, DepId, DescriptorAddr, TaskId};
-pub use isa::{TdmInstruction, TdmResponse};

@@ -463,6 +463,9 @@ trait TaskFeed {
     fn fetch(&mut self, index: usize) -> &TaskSpec;
     /// Spec of an in-flight (fetched, unfinished) task.
     fn spec(&self, task: TaskRef) -> &TaskSpec;
+    /// True if the feed holds `task`'s spec, so [`spec`](TaskFeed::spec)
+    /// would not panic.
+    fn holds(&self, task: TaskRef) -> bool;
     /// Drops the spec of a finished task.
     fn release(&mut self, task: TaskRef);
     /// Specs currently held resident.
@@ -514,6 +517,10 @@ impl TaskFeed for EagerFeed<'_> {
 
     fn spec(&self, task: TaskRef) -> &TaskSpec {
         self.workload.spec(task)
+    }
+
+    fn holds(&self, task: TaskRef) -> bool {
+        task.index() < self.workload.len()
     }
 
     fn release(&mut self, _task: TaskRef) {}
@@ -657,6 +664,10 @@ impl<S: TaskSource + ?Sized> TaskFeed for StreamFeed<'_, S> {
         self.in_flight
             .get(&task.index())
             .expect("spec of a task that is not in flight")
+    }
+
+    fn holds(&self, task: TaskRef) -> bool {
+        self.in_flight.contains_key(&task.index())
     }
 
     fn release(&mut self, task: TaskRef) {
@@ -863,7 +874,7 @@ pub fn resume_stream_outcome<S: TaskSource + ?Sized>(
     Ok(outcome.expect("resumed runs have no checkpoint sink and cannot halt"))
 }
 
-/// Timing-wheel payload marking a retry dispatch instead of a core event.
+/// Event-queue payload marking a retry dispatch instead of a core event.
 /// Scheduled at each failed task's backoff due time; on firing, every due
 /// entry of the retry queue is re-issued to the scheduling pool. No real
 /// core can carry this id (cores are `0..num_cores`).
@@ -1031,8 +1042,8 @@ fn run_core<F: TaskFeed>(
         // and configuration fingerprint) was already validated by the resume
         // entry point, and the feed was rebuilt from FEED before this call;
         // everything else lives in the long-lived locals loaded here. The
-        // initial per-core event seeding is skipped — the restored timing
-        // wheel already holds the pending events of the interrupted run.
+        // initial per-core event seeding is skipped — the restored event
+        // queue already holds the pending events of the interrupted run.
         stats = snapshot::from_payload(snap.section(section::STATS)?, "STATS")?;
         if stats.cores.len() != num_cores || stats.master != master {
             return Err(SnapshotError::Corrupt {
@@ -1101,6 +1112,26 @@ fn run_core<F: TaskFeed>(
             });
         }
         idle_set.words = idle_words;
+        // Each running task is finished by the engine when its core's event
+        // fires, which panics unless the task was created, is unfinished
+        // and runs on one core only.
+        let mut running_tasks: Vec<TaskRef> = running.iter().flatten().map(|rt| rt.task).collect();
+        running_tasks.sort_unstable();
+        if let Some(pair) = running_tasks.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(SnapshotError::Corrupt {
+                context: format!("DRIVER lists {} as running on two cores", pair[0]),
+            });
+        }
+        if let Some(task) = running_tasks
+            .iter()
+            .find(|task| task.index() >= next_create || !feed.holds(**task))
+        {
+            return Err(SnapshotError::Corrupt {
+                context: format!(
+                    "DRIVER lists {task} as running, but FEED does not hold it in flight"
+                ),
+            });
+        }
         fault_state = snapshot::from_payload(snap.section(section::FAULT)?, "FAULT")?;
         if fault_state.num_cores() != num_cores {
             return Err(SnapshotError::Corrupt {
@@ -1119,14 +1150,11 @@ fn run_core<F: TaskFeed>(
         }
     }
 
-    // Batched same-cycle delivery: every event of the current cycle is
-    // drained from the timing wheel in one operation (a single occupancy
-    // scan + bucket detach) and processed in FIFO order, instead of paying
-    // a queue pop per event. Events scheduled *for the same cycle* while
-    // the batch runs are picked up by the next `pop_batch` — exactly the
-    // position serial pops would have delivered them in (behind everything
-    // already pending), so the executed timeline is bit-identical to the
-    // one-pop-at-a-time loop this replaces.
+    // Same-cycle delivery: `pop_batch` drains every event of the earliest
+    // cycle, processed in FIFO order. Events scheduled *for the same cycle*
+    // while the batch runs form the next batch — exactly the position
+    // serial pops would have delivered them in (behind everything already
+    // pending), so the timeline is the one a pop-at-a-time loop produces.
     let mut batch: Vec<usize> = Vec::new();
     while let Some(now) = events.pop_batch(&mut batch) {
         for &core in &batch {
@@ -2322,6 +2350,50 @@ mod tests {
             );
             assert!(err.to_string().contains(names), "{err}");
             assert!(err.to_string().contains("core 40"), "{err}");
+        }
+    }
+
+    #[test]
+    fn resume_refuses_running_tasks_that_are_not_in_flight() {
+        let w = independent_workload(200, 5.0);
+        let chip = ChipConfig::default();
+        let config = small_chip(4).with_checkpoint_every(chip.micros(1.0));
+        for backend in [Backend::tdm_default(), Backend::Software] {
+            let (_, snaps) = stream_checkpoints(&w, &backend, SchedulerKind::Fifo, &config);
+            let snap = &snaps[0];
+            // DRIVER opens with the per-core running tasks; the rest of the
+            // section is kept byte for byte.
+            let driver = snap.section(section::DRIVER).unwrap();
+            let mut r = Reader::new(driver);
+            let running = Vec::<Option<RunningTask>>::load(&mut r).unwrap();
+            let rest = &driver[driver.len() - r.remaining()..];
+            let busy = running.iter().position(Option::is_some).unwrap();
+            // Task 150 has not been created at the first checkpoint.
+            let mut uncreated = running.clone();
+            uncreated[busy].as_mut().unwrap().task = TaskRef(150);
+            let mut twice = running.clone();
+            twice[(busy + 1) % running.len()] = running[busy];
+            for (hostile_running, expected) in [(uncreated, "task#150"), (twice, "two cores")] {
+                let mut hostile = Snapshot::new();
+                for sid in snap.section_ids() {
+                    let mut payload = snap.section(sid).unwrap().to_vec();
+                    if sid == section::DRIVER {
+                        payload = snapshot::to_payload(&hostile_running);
+                        payload.extend_from_slice(rest);
+                    }
+                    hostile.add_section(sid, payload);
+                }
+                let hostile = Snapshot::from_bytes(&hostile.to_bytes()).unwrap();
+                let err = resume_stream_outcome(&mut WorkloadSource::new(&w), &hostile, &config)
+                    .unwrap_err();
+                let name = backend.name();
+                assert!(
+                    matches!(err, SnapshotError::Corrupt { .. }),
+                    "{name}: {err}"
+                );
+                assert!(err.to_string().contains("DRIVER"), "{name}: {err}");
+                assert!(err.to_string().contains(expected), "{name}: {err}");
+            }
         }
     }
 

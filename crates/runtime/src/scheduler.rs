@@ -723,8 +723,8 @@ mod tests {
     }
 
     /// The retired comparison-based Age pool, kept as the lockstep
-    /// reference for [`SeqRing`] (the same pattern as
-    /// `NaiveEventQueue` / `NaiveListArray`).
+    /// reference for [`SeqRing`] (the same pattern as `NaiveDmu` /
+    /// `NaiveListArray`).
     #[derive(Default)]
     struct NaiveAgeScheduler {
         heap: std::collections::BinaryHeap<std::cmp::Reverse<(usize, usize, OrderedEntry)>>,

@@ -1,47 +1,217 @@
 //! Deterministic discrete-event queue.
 //!
 //! The execution driver in `tdm-runtime` advances simulated time by popping
-//! the earliest pending event from an [`EventQueue`]. Events scheduled for the
-//! same cycle are delivered in insertion order (FIFO), which keeps the
+//! the earliest pending events from an [`EventQueue`]. Events scheduled for
+//! the same cycle are delivered in insertion order (FIFO), which keeps the
 //! simulation fully deterministic: two runs with identical inputs produce
 //! identical timelines. Tie-breaking never involves randomness — see the
-//! seeding contract in [`crate::rng`] for how this queue and the seeded
-//! [`SplitMix64`](crate::rng::SplitMix64) together guarantee reproducible
-//! cycle counts.
+//! seeding contract in [`crate::rng`]. An event scheduled in the past is
+//! delivered at the current time: the clock never moves backwards.
 //!
-//! Two implementations share that contract:
+//! The queue is a [`BinaryHeap`] keyed by `(time, insertion seq)`. Each
+//! simulated core waits on one thing at a time, so the driver holds one
+//! wake-up per core plus one sentinel per waiting fault retry: at most 36
+//! pending events on the repository benchmark's 32-core workloads.
 //!
-//! * [`wheel::TimingWheel`] — a hierarchical timing wheel with O(1)
-//!   amortized `schedule`/`pop` and a batched same-cycle drain
-//!   ([`pop_batch`](wheel::TimingWheel::pop_batch)). Same-cycle FIFO order
-//!   is structural (per-bucket intrusive lists), not a per-event sequence
-//!   comparison. [`EventQueue`] is an alias for it; this is what the
-//!   execution driver runs on.
-//! * `NaiveEventQueue` — the retired `BinaryHeap` queue, ordered by
-//!   `(time, insertion seq)`, kept in this module's tests as the
-//!   obviously-correct reference. The lockstep-randomized suite there
-//!   drives both through the same seeded schedule/pop interleavings (heavy
-//!   same-cycle ties, cascade-boundary and `Cycle::MAX`-adjacent times
-//!   included) and demands identical timelines.
+//! ```
+//! use tdm_sim::clock::Cycle;
+//! use tdm_sim::event::EventQueue;
 //!
-//! Both queues clamp an event scheduled in the past to the current time
-//! (the clock never moves backwards); the execution driver never does this,
-//! and the queues agree bit-for-bit on it.
+//! let mut q = EventQueue::new();
+//! q.schedule(Cycle::new(20), "late");
+//! q.schedule(Cycle::new(5), "early");
+//! q.schedule(Cycle::new(5), "early-second");
+//! let mut batch = Vec::new();
+//! assert_eq!(q.pop_batch(&mut batch), Some(Cycle::new(5)));
+//! assert_eq!(batch, ["early", "early-second"]);
+//! assert_eq!(q.pop(), Some((Cycle::new(20), "late")));
+//! assert_eq!(q.pop(), None);
+//! ```
 
-pub mod wheel;
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-pub use wheel::TimingWheel;
+use crate::clock::Cycle;
+use crate::snapshot::{Persist, Reader, SnapshotError};
 
-/// The event queue used by the execution driver: the hierarchical
-/// [`TimingWheel`].
-pub type EventQueue<E> = TimingWheel<E>;
+/// A pending event: its delivery time, the insertion sequence number that
+/// orders the events of one cycle, and the payload.
+#[derive(Debug, Clone)]
+struct Scheduled<E> {
+    time: Cycle,
+    seq: u64,
+    payload: E,
+}
+
+impl<E> Scheduled<E> {
+    fn key(&self) -> (Cycle, u64) {
+        (self.time, self.seq)
+    }
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Scheduled<E> {
+    // `BinaryHeap` is a max-heap: the reversed key puts the earliest time,
+    // and within a time the lowest sequence number, on top.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+/// A time-ordered queue of simulation events: earliest time first,
+/// same-cycle events in insertion order, and a clock that never moves
+/// backwards (see the [module docs](self)).
+#[derive(Debug, Clone)]
+pub struct EventQueue<E> {
+    heap: BinaryHeap<Scheduled<E>>,
+    next_seq: u64,
+    now: Cycle,
+}
+
+/// Former name of [`EventQueue`], kept for callers that import it by this
+/// name (the repository benchmark does).
+pub type TimingWheel<E> = EventQueue<E>;
+
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// Creates an empty queue with the simulation clock at zero.
+    pub fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            now: Cycle::ZERO,
+        }
+    }
+
+    /// The current simulation time: the delivery time of the most recently
+    /// popped event (zero before any event has been popped).
+    pub fn now(&self) -> Cycle {
+        self.now
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True if no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Schedules `payload` for delivery at absolute time `time`.
+    ///
+    /// Scheduling an event in the past (before [`EventQueue::now`]) is
+    /// allowed but indicates a modelling error in the caller; the event is
+    /// delivered at the *current* time, behind any event already pending
+    /// for the current cycle.
+    pub fn schedule(&mut self, time: Cycle, payload: E) {
+        let time = time.max(self.now);
+        self.heap.push(Scheduled {
+            time,
+            seq: self.next_seq,
+            payload,
+        });
+        self.next_seq += 1;
+    }
+
+    /// Removes and returns the earliest pending event together with its
+    /// delivery time, advancing the simulation clock to that time.
+    ///
+    /// Returns `None` when the queue is empty.
+    pub fn pop(&mut self) -> Option<(Cycle, E)> {
+        let Scheduled { time, payload, .. } = self.heap.pop()?;
+        self.now = time;
+        Some((time, payload))
+    }
+
+    /// Removes **every** event of the earliest pending cycle, appending the
+    /// payloads to `out` in FIFO order (after clearing it), and advances the
+    /// clock to that cycle.
+    ///
+    /// Returns the cycle, or `None` when the queue is empty. Equivalent to
+    /// calling [`pop`](EventQueue::pop) while the next event's time equals
+    /// the first popped time: events scheduled for the same cycle while the
+    /// batch is being processed form the next batch.
+    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
+        out.clear();
+        let (time, first) = self.pop()?;
+        out.push(first);
+        while let Some(next) = self.heap.peek_mut() {
+            if next.time != time {
+                break;
+            }
+            out.push(PeekMut::pop(next).payload);
+        }
+        Some(time)
+    }
+}
+
+// Snapshot support. The heap's array layout depends on its history, so what
+// gets persisted is the observable state: the clock plus the pending events
+// in delivery order. Re-scheduling them in that order on load reproduces the
+// delivery order exactly.
+impl<E: Persist> Persist for EventQueue<E> {
+    fn save(&self, out: &mut Vec<u8>) {
+        self.now.save(out);
+        self.heap.len().save(out);
+        let mut pending: Vec<&Scheduled<E>> = self.heap.iter().collect();
+        pending.sort_unstable_by_key(|event| event.key());
+        for event in pending {
+            event.time.save(out);
+            event.payload.save(out);
+        }
+    }
+
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let now = Cycle::load(r)?;
+        let len = u64::load(r)?;
+        let mut queue = EventQueue::new();
+        queue.now = now;
+        let mut previous = now;
+        for _ in 0..len {
+            let time = Cycle::load(r)?;
+            let payload = E::load(r)?;
+            if time < previous {
+                return Err(SnapshotError::Corrupt {
+                    context: format!(
+                        "event-queue events out of order: {} after {} (clock {})",
+                        time.raw(),
+                        previous.raw(),
+                        now.raw()
+                    ),
+                });
+            }
+            previous = time;
+            queue.schedule(time, payload);
+        }
+        Ok(queue)
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::Cycle;
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
+    use crate::rng::SplitMix64;
+    use crate::snapshot::{from_payload, to_payload};
 
     #[test]
     fn pops_in_time_order() {
@@ -54,6 +224,20 @@ mod tests {
     }
 
     #[test]
+    fn pops_in_time_order_across_far_horizons() {
+        let mut q = EventQueue::new();
+        // One event every factor of 64, up to 2^60 cycles out.
+        let times: Vec<u64> = (0..11).map(|k| 1u64 << (6 * k)).collect();
+        for &t in times.iter().rev() {
+            q.schedule(Cycle::new(t), t);
+        }
+        for &t in &times {
+            assert_eq!(q.pop(), Some((Cycle::new(t), t)));
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
     fn ties_break_in_insertion_order() {
         let mut q = EventQueue::new();
         for i in 0..10 {
@@ -61,6 +245,52 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn same_cycle_fifo_survives_interleaved_pops() {
+        let mut q = EventQueue::new();
+        // All in one far-future cycle, scheduled in a recognisable order.
+        let t = Cycle::new(5 * 4096 + 7 * 64 + 3);
+        for i in 0..100 {
+            q.schedule(t, i);
+        }
+        // An earlier event is scheduled and popped in between.
+        q.schedule(Cycle::new(10), -1);
+        assert_eq!(q.pop(), Some((Cycle::new(10), -1)));
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pop_batch_drains_exactly_one_cycle() {
+        let mut q = EventQueue::new();
+        q.schedule(Cycle::new(5), 'a');
+        q.schedule(Cycle::new(9), 'c');
+        q.schedule(Cycle::new(5), 'b');
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_batch(&mut batch), Some(Cycle::new(5)));
+        assert_eq!(batch, vec!['a', 'b']);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.now(), Cycle::new(5));
+        assert_eq!(q.pop_batch(&mut batch), Some(Cycle::new(9)));
+        assert_eq!(batch, vec!['c']);
+        assert_eq!(q.pop_batch(&mut batch), None);
+        assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn same_cycle_events_scheduled_mid_batch_form_the_next_batch() {
+        let mut q = EventQueue::new();
+        q.schedule(Cycle::new(5), "first");
+        let mut batch = Vec::new();
+        q.pop_batch(&mut batch);
+        assert_eq!(batch, vec!["first"]);
+        // "Mid-batch": now == 5, schedule more work for cycle 5.
+        q.schedule(Cycle::new(5), "second");
+        q.schedule(Cycle::new(5), "third");
+        assert_eq!(q.pop_batch(&mut batch), Some(Cycle::new(5)));
+        assert_eq!(batch, vec!["second", "third"]);
     }
 
     #[test]
@@ -76,15 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle::new(50), "a");
-        q.pop();
-        q.schedule_after(Cycle::new(10), "b");
-        assert_eq!(q.pop(), Some((Cycle::new(60), "b")));
-    }
-
-    #[test]
     fn clock_never_moves_backwards() {
         let mut q = EventQueue::new();
         q.schedule(Cycle::new(100), "future");
@@ -96,31 +317,37 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn past_events_deliver_at_the_current_time() {
         let mut q = EventQueue::new();
-        q.schedule(Cycle::new(7), 'x');
-        assert_eq!(q.peek_time(), Some(Cycle::new(7)));
-        assert_eq!(q.len(), 1);
+        q.schedule(Cycle::new(100), "future");
+        q.pop();
+        q.schedule(Cycle::new(10), "past");
+        let (t, e) = q.pop().unwrap();
+        assert_eq!((t, e), (Cycle::new(100), "past"));
+        assert_eq!(q.now(), Cycle::new(100));
     }
 
     #[test]
-    fn clear_resets_everything() {
+    fn cycle_max_adjacent_times_work() {
         let mut q = EventQueue::new();
-        q.schedule(Cycle::new(7), 'x');
-        q.pop();
-        q.schedule(Cycle::new(9), 'y');
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), Cycle::ZERO);
-        assert_eq!(q.pop(), None);
+        q.schedule(Cycle::MAX, "max");
+        q.schedule(Cycle::new(u64::MAX - 1), "almost");
+        q.schedule(Cycle::new(1), "now-ish");
+        assert_eq!(q.pop(), Some((Cycle::new(1), "now-ish")));
+        assert_eq!(q.pop(), Some((Cycle::new(u64::MAX - 1), "almost")));
+        assert_eq!(q.pop(), Some((Cycle::MAX, "max")));
+        assert_eq!(q.now(), Cycle::MAX);
+        // Scheduling at MAX again still delivers (clamped semantics).
+        q.schedule(Cycle::MAX, "again");
+        assert_eq!(q.pop(), Some((Cycle::MAX, "again")));
     }
 
     #[test]
     fn empty_queue_reports_empty() {
-        let q: EventQueue<()> = EventQueue::new();
+        let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
     }
 
     /// The seeding contract of [`crate::rng`], exercised end to end at the
@@ -128,8 +355,6 @@ mod tests {
     /// heavy same-cycle ties) replays to an identical timeline.
     #[test]
     fn seeded_replay_produces_identical_timeline() {
-        use crate::rng::SplitMix64;
-
         fn run(seed: u64) -> Vec<(Cycle, u64)> {
             let mut rng = SplitMix64::new(seed);
             let mut q = EventQueue::new();
@@ -139,7 +364,7 @@ mod tests {
                 if rng.next_below(3) > 0 || q.is_empty() {
                     // Coarse times force frequent ties on the same cycle.
                     let delay = Cycle::new(rng.next_below(4) * 10);
-                    q.schedule_after(delay, next_id);
+                    q.schedule(q.now() + delay, next_id);
                     next_id += 1;
                 } else {
                     timeline.push(q.pop().unwrap());
@@ -159,229 +384,141 @@ mod tests {
         assert_ne!(run(1), run(2));
     }
 
-    /// An event paired with its delivery time and a monotonically increasing
-    /// sequence number used to break ties deterministically.
-    struct Scheduled<E> {
-        time: Cycle,
-        seq: u64,
-        payload: E,
+    /// The `EVENTS` snapshot bytes: the clock, the event count, then each
+    /// event's time and payload in delivery order, all little-endian `u64`.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.schedule(Cycle::new(100), 99);
+        q.pop();
+        // An insertion order that leaves the three same-cycle events out of
+        // insertion order in the heap's array.
+        q.schedule(Cycle::new(100 + 64), 3);
+        q.schedule(Cycle::new(100), 0);
+        q.schedule(Cycle::new(100), 1);
+        q.schedule(Cycle::new(100 + (1 << 20)), 4);
+        q.schedule(Cycle::new(100), 2);
+        q.schedule(Cycle::MAX, 6);
+        q.schedule(Cycle::new(u64::MAX - 1), 5);
+        #[rustfmt::skip]
+        let golden: [u8; 128] = [
+            0x64, 0, 0, 0, 0, 0, 0, 0,  7, 0, 0, 0, 0, 0, 0, 0, // clock 100, 7 events
+            0x64, 0, 0, 0, 0, 0, 0, 0,  0, 0, 0, 0, 0, 0, 0, 0, // 100: 0
+            0x64, 0, 0, 0, 0, 0, 0, 0,  1, 0, 0, 0, 0, 0, 0, 0, // 100: 1
+            0x64, 0, 0, 0, 0, 0, 0, 0,  2, 0, 0, 0, 0, 0, 0, 0, // 100: 2
+            0xA4, 0, 0, 0, 0, 0, 0, 0,  3, 0, 0, 0, 0, 0, 0, 0, // 164: 3
+            0x64, 0, 0x10, 0, 0, 0, 0, 0,  4, 0, 0, 0, 0, 0, 0, 0, // 100 + 2^20: 4
+            0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  5, 0, 0, 0, 0, 0, 0, 0, // MAX - 1: 5
+            0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  6, 0, 0, 0, 0, 0, 0, 0, // MAX: 6
+        ];
+        assert_eq!(to_payload(&q), golden);
+
+        let delivery = |mut q: EventQueue<u64>| -> Vec<(Cycle, u64)> {
+            std::iter::from_fn(|| q.pop()).collect()
+        };
+        let loaded: EventQueue<u64> = from_payload(&golden, "EVENTS").unwrap();
+        assert_eq!(loaded.now(), Cycle::new(100));
+        assert_eq!(loaded.len(), 7);
+        assert_eq!(delivery(loaded), delivery(q));
     }
 
-    impl<E> PartialEq for Scheduled<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-
-    impl<E> Eq for Scheduled<E> {}
-
-    impl<E> PartialOrd for Scheduled<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl<E> Ord for Scheduled<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // BinaryHeap is a max-heap; invert the ordering so the earliest
-            // time (and, within a time, the lowest sequence number) is
-            // popped first.
-            other
-                .time
-                .cmp(&self.time)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    /// The retired binary-heap event queue, kept as the reference
-    /// implementation for the [`TimingWheel`] equivalence suite below (the
-    /// `NaiveListArray` pattern: an obviously-correct structure the
-    /// optimized one is checked against in lockstep).
-    ///
-    /// O(log n) per `schedule`/`pop` with a per-event sequence number for
-    /// same-cycle FIFO ties — the costs the wheel exists to remove.
-    struct NaiveEventQueue<E> {
-        heap: BinaryHeap<Scheduled<E>>,
-        next_seq: u64,
-        now: Cycle,
-    }
-
-    impl<E> NaiveEventQueue<E> {
-        /// Creates an empty event queue with the simulation clock at zero.
-        fn new() -> Self {
-            NaiveEventQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                now: Cycle::ZERO,
-            }
-        }
-
-        /// The current simulation time: the delivery time of the most
-        /// recently popped event (zero before any event has been popped).
-        fn now(&self) -> Cycle {
-            self.now
-        }
-
-        /// Number of pending events.
-        fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// Schedules `payload` for delivery at absolute time `time`.
-        ///
-        /// Scheduling an event in the past (before [`NaiveEventQueue::now`])
-        /// is allowed but indicates a modelling error in the caller; the
-        /// event is delivered at the current time, behind events already
-        /// pending for it — the same clamp the wheel applies, so the two
-        /// implementations stay comparable event for event.
-        fn schedule(&mut self, time: Cycle, payload: E) {
-            let time = time.max(self.now);
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Scheduled { time, seq, payload });
-        }
-
-        /// Schedules `payload` for delivery `delay` cycles after the current
-        /// simulation time.
-        fn schedule_after(&mut self, delay: Cycle, payload: E) {
-            let time = self.now + delay;
-            self.schedule(time, payload);
-        }
-
-        /// Removes and returns the earliest pending event together with its
-        /// delivery time, advancing the simulation clock to that time.
-        ///
-        /// Returns `None` when the queue is empty.
-        fn pop(&mut self) -> Option<(Cycle, E)> {
-            let Scheduled { time, payload, .. } = self.heap.pop()?;
-            // Scheduling clamps to `now`, so time is always monotone; the
-            // max is kept as a belt-and-braces guard.
-            self.now = self.now.max(time);
-            Some((self.now, payload))
-        }
-
-        /// Returns the delivery time of the earliest pending event without
-        /// removing it.
-        fn peek_time(&self) -> Option<Cycle> {
-            self.heap.peek().map(|s| s.time)
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Lockstep-randomized equivalence: TimingWheel vs NaiveEventQueue.
-    // Both queues receive the identical seeded operation sequence and must
-    // agree on every observable after every operation.
-    // -----------------------------------------------------------------
-
-    /// Drives both queues through `ops` seeded operations where delays are
-    /// drawn by `delay` and pops happen with probability ~`pop_weight`/4.
-    fn lockstep(
+    /// Drives two queues through one seeded interleaving of schedules and
+    /// deliveries: `serial` pops one event at a time, `batched` takes whole
+    /// cycles with `pop_batch` and goes through a save/load round trip at
+    /// random steps. Both must deliver the same sequence. `delay` draws how
+    /// far ahead of `now` each event lands; a delivery happens with
+    /// probability `pop_weight`/4.
+    fn batches_match_serial_pops(
         seed: u64,
-        ops: usize,
         pop_weight: u64,
-        mut delay: impl FnMut(&mut crate::rng::SplitMix64) -> u64,
+        mut delay: impl FnMut(&mut SplitMix64) -> u64,
     ) {
-        use crate::rng::SplitMix64;
-
         let mut rng = SplitMix64::new(seed);
-        let mut wheel: TimingWheel<u64> = TimingWheel::new();
-        let mut naive: NaiveEventQueue<u64> = NaiveEventQueue::new();
+        let mut serial: EventQueue<u64> = EventQueue::new();
+        let mut batched: EventQueue<u64> = EventQueue::new();
+        let mut batch = Vec::new();
         let mut next_id = 0u64;
-        for step in 0..ops {
-            if rng.next_below(4) >= pop_weight || wheel.is_empty() {
-                let d = Cycle::new(delay(&mut rng));
-                wheel.schedule_after(d, next_id);
-                naive.schedule_after(d, next_id);
+        // Whether an event was scheduled at `now` since the last batch,
+        // which is the only way the next batch may share its cycle.
+        let mut scheduled_at_now = false;
+        let mut deliver = |serial: &mut EventQueue<u64>,
+                           batched: &mut EventQueue<u64>,
+                           scheduled_at_now: &mut bool| {
+            let previous = batched.now();
+            let time = batched.pop_batch(&mut batch).unwrap();
+            assert!(
+                time > previous || (time == previous && *scheduled_at_now),
+                "seed {seed}: a batch left events of cycle {} behind",
+                previous.raw()
+            );
+            *scheduled_at_now = false;
+            for &id in &batch {
+                assert_eq!(serial.pop(), Some((time, id)), "seed {seed}");
+            }
+        };
+        for step in 0..2000 {
+            if rng.next_below(64) == 0 {
+                let bytes = to_payload(&batched);
+                assert_eq!(bytes, to_payload(&serial), "seed {seed} step {step}");
+                batched = from_payload(&bytes, "EVENTS").unwrap();
+            }
+            if rng.next_below(4) >= pop_weight || batched.is_empty() {
+                let d = delay(&mut rng);
+                scheduled_at_now |= d == 0;
+                let time = batched.now() + Cycle::new(d);
+                serial.schedule(time, next_id);
+                batched.schedule(time, next_id);
                 next_id += 1;
             } else {
-                assert_eq!(wheel.pop(), naive.pop(), "seed {seed} step {step}");
+                deliver(&mut serial, &mut batched, &mut scheduled_at_now);
             }
-            assert_eq!(wheel.len(), naive.len(), "seed {seed} step {step}");
-            assert_eq!(wheel.now(), naive.now(), "seed {seed} step {step}");
-            assert_eq!(
-                wheel.peek_time(),
-                naive.peek_time(),
-                "seed {seed} step {step}"
-            );
+            assert_eq!(serial.len(), batched.len(), "seed {seed} step {step}");
+            assert_eq!(serial.now(), batched.now(), "seed {seed} step {step}");
         }
-        loop {
-            let (a, b) = (wheel.pop(), naive.pop());
-            assert_eq!(a, b, "seed {seed} drain");
-            if a.is_none() {
-                break;
-            }
+        while !batched.is_empty() {
+            deliver(&mut serial, &mut batched, &mut scheduled_at_now);
         }
+        assert_eq!(serial.pop(), None, "seed {seed}");
     }
 
     #[test]
-    fn lockstep_near_future_with_heavy_ties() {
+    fn batches_and_round_trips_match_serial_pops() {
         for seed in 0..8u64 {
-            // Coarse small delays: many same-cycle ties, all level-0/1.
-            lockstep(seed, 2000, 2, |rng| rng.next_below(4) * 10);
-        }
-    }
-
-    #[test]
-    fn lockstep_mixed_horizons() {
-        for seed in 0..8u64 {
-            // Delays spanning every wheel level up to 2^36.
-            lockstep(seed ^ 0xA5A5, 2000, 2, |rng| {
+            // Coarse small delays: many same-cycle ties.
+            batches_match_serial_pops(seed, 2, |rng| rng.next_below(4) * 10);
+            // Horizons up to 2^36 cycles.
+            batches_match_serial_pops(seed ^ 0xA5A5, 2, |rng| {
                 let magnitude = rng.next_below(37);
                 rng.next_below(1 << magnitude)
             });
+            // Pop-heavy: the queue runs nearly dry often.
+            batches_match_serial_pops(seed ^ 0xD00D, 3, |rng| rng.next_below(100));
         }
     }
 
-    #[test]
-    fn lockstep_cascade_boundaries() {
-        // Delays clustered right at the wheel's power-of-two slot spans
-        // (64^k ± 1), the off-by-one hot spots of cascade logic.
-        for seed in 0..8u64 {
-            lockstep(seed ^ 0x5C5C, 2000, 2, |rng| {
-                let level = 1 + rng.next_below(4) as u32; // spans 64..=2^24
-                let span = 1u64 << (6 * level);
-                span - 1 + rng.next_below(3)
-            });
+    /// An `EVENTS` payload at clock 100 holding events at `times`.
+    fn events_payload(times: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        100u64.save(&mut out);
+        times.len().save(&mut out);
+        for (i, &time) in times.iter().enumerate() {
+            time.save(&mut out);
+            i.save(&mut out);
         }
+        out
     }
 
     #[test]
-    fn lockstep_pop_heavy_drains() {
-        for seed in 0..4u64 {
-            // Pop with probability 3/4: the queues run nearly dry often,
-            // exercising empty/refill transitions.
-            lockstep(seed ^ 0xD00D, 2000, 3, |rng| rng.next_below(100));
-        }
+    fn decoder_refuses_an_event_before_the_clock() {
+        assert!(from_payload::<EventQueue<u64>>(&events_payload(&[100, 200]), "EVENTS").is_ok());
+        let err = from_payload::<EventQueue<u64>>(&events_payload(&[99]), "EVENTS").unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
     }
 
     #[test]
-    fn lockstep_cycle_max_adjacent() {
-        // Absolute times at the top of the u64 range (the driver's
-        // "infinitely far" sentinel region), scheduled directly.
-        let mut wheel: TimingWheel<u32> = TimingWheel::new();
-        let mut naive: NaiveEventQueue<u32> = NaiveEventQueue::new();
-        let times = [
-            u64::MAX,
-            u64::MAX - 1,
-            u64::MAX - 63,
-            u64::MAX - 64,
-            u64::MAX - 65,
-            1u64 << 60,
-            (1u64 << 60) - 1,
-            0,
-            1,
-        ];
-        for (i, &t) in times.iter().enumerate() {
-            wheel.schedule(Cycle::new(t), i as u32);
-            naive.schedule(Cycle::new(t), i as u32);
-        }
-        loop {
-            let (a, b) = (wheel.pop(), naive.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(wheel.now(), Cycle::MAX);
+    fn decoder_refuses_decreasing_timestamps() {
+        let err =
+            from_payload::<EventQueue<u64>>(&events_payload(&[200, 150]), "EVENTS").unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
     }
 }

@@ -25,9 +25,9 @@
 //!    reorder them).
 //! 3. **Ties never consult the RNG.** Simultaneous events are delivered by
 //!    the [`EventQueue`](crate::event::EventQueue) in insertion order —
-//!    structurally, via the timing wheel's per-cycle FIFO buckets — never by
-//!    randomness, so determinism does not depend on rule 2 being applied to
-//!    event ordering.
+//!    by a per-event insertion sequence number in the queue's key — never
+//!    by randomness, so determinism does not depend on rule 2 being applied
+//!    to event ordering.
 //!
 //! The conformance suite (`tests/conformance/determinism.rs` at the
 //! workspace root) enforces the end-to-end consequence: identical

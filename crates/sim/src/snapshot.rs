@@ -89,8 +89,8 @@ pub mod section {
     /// Driver scalars and per-core state: simulated clock, creation cursor,
     /// finish count, running tasks, idle bookkeeping, makespan-so-far.
     pub const DRIVER: u32 = 0x02;
-    /// Event queue: the timing wheel's current cycle and every pending
-    /// event in pop order.
+    /// Event queue: the queue's clock and every pending event in delivery
+    /// order.
     pub const EVENTS: u32 = 0x03;
     /// Simulation statistics accumulated so far (per-core phase breakdowns,
     /// task and DMU counters).
@@ -151,7 +151,7 @@ pub const SECTIONS: &[SectionInfo] = &[
     SectionInfo {
         id: section::EVENTS,
         name: "EVENTS",
-        summary: "timing-wheel clock and pending events",
+        summary: "event-queue clock and pending events",
     },
     SectionInfo {
         id: section::STATS,
@@ -746,7 +746,7 @@ pub fn from_payload<T: Persist>(payload: &[u8], what: &str) -> Result<T, Snapsho
 }
 
 // Persist impls for sim types with private fields live next to those types
-// (`rng::SplitMix64`, `cache::LocalityModel`, `event::wheel::TimingWheel`);
+// (`rng::SplitMix64`, `cache::LocalityModel`, `event::EventQueue`);
 // `stats::SimStats` is fully public, so its impl lives here.
 
 impl Persist for crate::stats::CoreBreakdown {

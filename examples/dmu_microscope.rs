@@ -1,106 +1,60 @@
-//! Drive the DMU directly through its ISA-level interface and watch how it
+//! Drive the DMU directly through its five operations and watch how it
 //! tracks a small task graph — useful to understand Algorithms 1 and 2 of the
 //! paper and the cost (SRAM accesses) of each operation.
 //!
 //! Run with: `cargo run --release --example dmu_microscope`
 
-use tdm::core::isa::{execute, TdmInstruction, TdmResponse};
+use tdm::core::dmu::DmuResult;
 use tdm::prelude::*;
+
+/// Prints one creation-phase operation with the structure accesses it
+/// performed and what they cost.
+fn show<T>(operation: String, result: DmuResult<T>, latency: Cycle) {
+    println!(
+        "{:<55} accesses: {:<30} ({} cycles)",
+        operation,
+        result.accesses.to_string(),
+        result.cost(latency).raw()
+    );
+}
 
 fn main() {
     let mut dmu = Dmu::new(DmuConfig::default());
     let latency = DmuConfig::default().access_latency;
+    let fits = "the default DMU never fills here";
 
     // A producer writes a 4 KB block; two consumers read it; a final writer
     // overwrites it (WAR on both consumers).
-    let producer = DescriptorAddr(0x1000);
-    let consumer_a = DescriptorAddr(0x2000);
-    let consumer_b = DescriptorAddr(0x3000);
-    let writer = DescriptorAddr(0x4000);
     let data = DepAddr(0xA000_0000);
-
-    let program = [
-        TdmInstruction::CreateTask {
-            descriptor: producer,
-        },
-        TdmInstruction::AddDependence {
-            descriptor: producer,
-            address: data,
-            size: 4096,
-            direction: DepDirection::Out,
-        },
-        TdmInstruction::SubmitTask {
-            descriptor: producer,
-        },
-        TdmInstruction::CreateTask {
-            descriptor: consumer_a,
-        },
-        TdmInstruction::AddDependence {
-            descriptor: consumer_a,
-            address: data,
-            size: 4096,
-            direction: DepDirection::In,
-        },
-        TdmInstruction::SubmitTask {
-            descriptor: consumer_a,
-        },
-        TdmInstruction::CreateTask {
-            descriptor: consumer_b,
-        },
-        TdmInstruction::AddDependence {
-            descriptor: consumer_b,
-            address: data,
-            size: 4096,
-            direction: DepDirection::In,
-        },
-        TdmInstruction::SubmitTask {
-            descriptor: consumer_b,
-        },
-        TdmInstruction::CreateTask { descriptor: writer },
-        TdmInstruction::AddDependence {
-            descriptor: writer,
-            address: data,
-            size: 4096,
-            direction: DepDirection::Out,
-        },
-        TdmInstruction::SubmitTask { descriptor: writer },
+    let size = 4096;
+    let tasks = [
+        (DescriptorAddr(0x1000), DepDirection::Out),
+        (DescriptorAddr(0x2000), DepDirection::In),
+        (DescriptorAddr(0x3000), DepDirection::In),
+        (DescriptorAddr(0x4000), DepDirection::Out),
     ];
 
     println!("-- task creation phase --");
-    for instr in program {
-        let result = execute(&mut dmu, instr).expect("the default DMU never fills here");
-        println!(
-            "{:<55} accesses: {:<30} ({} cycles)",
-            instr.to_string(),
-            result.accesses.to_string(),
-            result.cost(latency).raw()
+    for (task, direction) in tasks {
+        let created = dmu.create_task(task).expect(fits);
+        show(format!("create_task({task})"), created, latency);
+        let added = dmu.add_dependence(task, data, size, direction).expect(fits);
+        show(
+            format!("add_dependence({task}, {data}, {size}, {direction})"),
+            added,
+            latency,
         );
+        let submitted = dmu.submit_task(task).expect(fits);
+        show(format!("submit_task({task})"), submitted, latency);
     }
 
     println!("\n-- execution phase --");
-    loop {
-        let ready = execute(&mut dmu, TdmInstruction::GetReadyTask).unwrap();
-        let TdmResponse::Ready(slot) = ready.value else {
-            unreachable!()
-        };
-        let Some(task) = slot else {
-            if dmu.is_drained() {
-                break;
-            }
-            // Nothing ready right now (should not happen in this linear walk).
-            continue;
-        };
+    while let Some(task) = dmu.get_ready_task().value {
         println!(
             "get_ready_task -> {} ({} successors)",
             task.descriptor, task.num_successors
         );
-        let finish = execute(
-            &mut dmu,
-            TdmInstruction::FinishTask {
-                descriptor: task.descriptor,
-            },
-        )
-        .unwrap();
+        let finish = dmu.finish_task(task.descriptor).unwrap();
         println!(
             "finish_task({})  accesses: {} ({} cycles)",
             task.descriptor,

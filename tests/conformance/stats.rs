@@ -1,15 +1,15 @@
 //! Modeled-metric invariants of the optimised hot paths.
 //!
 //! The simulate loop and the DMU list arrays are performance-optimised
-//! (reused ready buffers, idle-core bitmap, cached list tails, and — since
-//! the timing-wheel swap — batched same-cycle event delivery), and the
-//! schedule trace became opt-in. None of that may move a modeled number:
-//! these tests pin the invariants across the benchmark × backend matrix.
-//! (The cached-tail list arrays and the timing wheel are each additionally
-//! checked against a naive reference in lockstep: `debug_assert`s on every
-//! walk during debug-build runs, the randomized suites in `tdm-core`'s
-//! `list_array` module, and the `TimingWheel` vs `NaiveEventQueue` suite in
-//! `tdm-sim`'s `event` module.)
+//! (reused ready buffers, idle-core bitmap, cached list tails, and batched
+//! same-cycle event delivery), and the schedule trace became opt-in. None
+//! of that may move a modeled number: these tests pin the invariants across
+//! the benchmark × backend matrix. (The cached-tail list arrays are
+//! additionally checked against a naive reference in lockstep:
+//! `debug_assert`s on every walk during debug-build runs and the randomized
+//! suites in `tdm-core`'s `list_array` module. The event queue's
+//! `pop_batch` is checked against repeated `pop`s in `tdm-sim`'s `event`
+//! module.)
 
 use crate::common::small_benchmarks;
 use crate::{all_backends, conformance_config};
@@ -46,7 +46,7 @@ fn schedule_tracing_never_affects_modeled_time() {
 }
 
 /// The same trace-toggle invariance on the *streaming* path, pinning both
-/// identities the timing-wheel swap must preserve at once: trace-on/off
+/// identities batched event delivery must preserve at once: trace-on/off
 /// changes nothing modeled, and the streamed run agrees with the eager one
 /// bit for bit (schedule included) while the batch-drained loop delivers
 /// same-cycle events underneath.

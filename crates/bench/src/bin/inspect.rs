@@ -1,37 +1,38 @@
 //! Debug/inspection harness: run one benchmark on one backend/scheduler and
 //! dump the full report (phase breakdown, DMU statistics, stalls).
 //!
-//! Usage: `inspect <benchmark> <software|tdm|carbon|tss> [fifo|lifo|locality|successor|age]`
+//! Usage: `inspect [BENCHMARK] [software|tdm|carbon|tss] [fifo|lifo|locality|successor|age]`
+//! (defaults: `cholesky tdm fifo`). Names are parsed as by `bench_scale`
+//! and `bench_sweep`; a bad name prints the error and the usage line, then
+//! exits 2.
 
-use tdm_bench::{pct, run, Benchmark};
+use std::process::ExitCode;
+
+use tdm_bench::cli::{parse_backend, parse_benchmark, parse_scheduler};
+use tdm_bench::{pct, run};
 use tdm_runtime::exec::Backend;
-use tdm_runtime::scheduler::SchedulerKind;
 use tdm_sim::stats::Phase;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let bench_name = args.get(1).map(String::as_str).unwrap_or("cholesky");
-    let backend_name = args.get(2).map(String::as_str).unwrap_or("tdm");
-    let sched_name = args.get(3).map(String::as_str).unwrap_or("fifo");
+const USAGE: &str =
+    "usage: inspect [BENCHMARK] [software|tdm|carbon|tss] [fifo|lifo|locality|successor|age]";
 
-    let bench = Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(bench_name) || b.abbrev() == bench_name)
-        .unwrap_or_else(|| panic!("unknown benchmark {bench_name}"));
-    let backend = match backend_name {
-        "software" | "sw" => Backend::Software,
-        "tdm" => Backend::tdm_default(),
-        "carbon" => Backend::Carbon,
-        "tss" => Backend::task_superscalar_default(),
-        other => panic!("unknown backend {other}"),
-    };
-    let scheduler = match sched_name {
-        "fifo" => SchedulerKind::Fifo,
-        "lifo" => SchedulerKind::Lifo,
-        "locality" => SchedulerKind::Locality,
-        "successor" => SchedulerKind::Successor { threshold: 2 },
-        "age" => SchedulerKind::Age,
-        other => panic!("unknown scheduler {other}"),
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().collect();
+    let arg = |i: usize, default: &'static str| args.get(i).map_or(default, String::as_str);
+    let parsed = parse_benchmark(arg(1, "cholesky")).and_then(|bench| {
+        Ok((
+            bench,
+            parse_backend(arg(2, "tdm"))?,
+            parse_scheduler(arg(3, "fifo"))?,
+        ))
+    });
+    let (bench, backend, scheduler) = match parsed {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            eprintln!("error: {message}");
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
     };
 
     let workload = match backend {
@@ -86,4 +87,5 @@ fn main() {
             hw.dat_average_occupied_sets
         );
     }
+    ExitCode::SUCCESS
 }

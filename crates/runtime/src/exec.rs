@@ -65,7 +65,7 @@ use crate::engine::{
 };
 use crate::fast_map::FastMap;
 use crate::fault::{FaultConfig, FaultPlan, FaultState};
-use crate::scheduler::{FifoScheduler, ReadyEntry, Scheduler, SchedulerKind};
+use crate::scheduler::{ReadyEntry, ReadyPool, SchedulerKind};
 use crate::stream::TaskSource;
 use crate::task::{TaskRef, TaskSpec, Workload};
 
@@ -965,8 +965,8 @@ fn run_core<F: TaskFeed>(
 
     let mut engine = backend.build_engine(&config.cost, noc_round_trip);
     let hardware_sched = backend.hardware_scheduling();
-    let mut pool: Box<dyn Scheduler> = if hardware_sched {
-        Box::new(FifoScheduler::new())
+    let mut pool = if hardware_sched {
+        SchedulerKind::Fifo.build()
     } else {
         scheduler.build()
     };
@@ -1112,26 +1112,6 @@ fn run_core<F: TaskFeed>(
             });
         }
         idle_set.words = idle_words;
-        // Each running task is finished by the engine when its core's event
-        // fires, which panics unless the task was created, is unfinished
-        // and runs on one core only.
-        let mut running_tasks: Vec<TaskRef> = running.iter().flatten().map(|rt| rt.task).collect();
-        running_tasks.sort_unstable();
-        if let Some(pair) = running_tasks.windows(2).find(|pair| pair[0] == pair[1]) {
-            return Err(SnapshotError::Corrupt {
-                context: format!("DRIVER lists {} as running on two cores", pair[0]),
-            });
-        }
-        if let Some(task) = running_tasks
-            .iter()
-            .find(|task| task.index() >= next_create || !feed.holds(**task))
-        {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "DRIVER lists {task} as running, but FEED does not hold it in flight"
-                ),
-            });
-        }
         fault_state = snapshot::from_payload(snap.section(section::FAULT)?, "FAULT")?;
         if fault_state.num_cores() != num_cores {
             return Err(SnapshotError::Corrupt {
@@ -1140,6 +1120,41 @@ fn run_core<F: TaskFeed>(
                     fault_state.num_cores()
                 ),
             });
+        }
+        // The driver starts each ready or retrying task on a core, and the
+        // engine finishes each running task, which panics unless the task
+        // was created, is unfinished and sits in one place only.
+        let mut placed: Vec<(TaskRef, &str, &str)> = running
+            .iter()
+            .flatten()
+            .map(|rt| (rt.task, "DRIVER", "running"))
+            .chain(pool.tasks().map(|task| (task, "SCHEDULER", "ready")))
+            .chain(
+                fault_state
+                    .pending_retries()
+                    .iter()
+                    .map(|retry| (retry.task, "FAULT", "due for retry")),
+            )
+            .collect();
+        if let Some((task, section, role)) = placed
+            .iter()
+            .find(|(task, _, _)| task.index() >= next_create || !feed.holds(*task))
+        {
+            return Err(SnapshotError::Corrupt {
+                context: format!(
+                    "{section} lists {task} as {role}, but FEED does not hold it in flight"
+                ),
+            });
+        }
+        placed.sort_unstable();
+        if let Some(pair) = placed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            let [(task, a, role_a), (_, b, role_b)] = [pair[0], pair[1]];
+            let context = match (a == b, a) {
+                (true, "DRIVER") => format!("DRIVER lists {task} as running on two cores"),
+                (true, _) => format!("{a} lists {task} twice"),
+                (false, _) => format!("{task} is both {role_a} in {a} and {role_b} in {b}"),
+            };
+            return Err(SnapshotError::Corrupt { context });
         }
         if config.trace_schedule {
             schedule = snapshot::from_payload(snap.section(section::TRACE)?, "TRACE")?;
@@ -1265,7 +1280,7 @@ fn run_core<F: TaskFeed>(
                         Some(core),
                         &mut t,
                         core,
-                        &mut *pool,
+                        &mut pool,
                         &mut stats,
                         push_cost,
                         &mut idle_set,
@@ -1311,7 +1326,7 @@ fn run_core<F: TaskFeed>(
                         None,
                         &mut t,
                         master,
-                        &mut *pool,
+                        &mut pool,
                         &mut stats,
                         push_cost,
                         &mut idle_set,
@@ -1395,7 +1410,7 @@ fn run_core<F: TaskFeed>(
                     scheduler,
                     config,
                     &*engine,
-                    &*pool,
+                    &pool,
                     &stats,
                     &locality,
                     &events,
@@ -1467,7 +1482,7 @@ fn capture_snapshot<F: TaskFeed>(
     scheduler: SchedulerKind,
     config: &ExecConfig,
     engine: &dyn DependenceEngine,
-    pool: &dyn Scheduler,
+    pool: &ReadyPool,
     stats: &SimStats,
     locality: &LocalityModel,
     events: &EventQueue<usize>,
@@ -1540,7 +1555,7 @@ fn push_ready(
     producer_core: Option<usize>,
     t: &mut Cycle,
     pushing_core: usize,
-    pool: &mut dyn Scheduler,
+    pool: &mut ReadyPool,
     stats: &mut SimStats,
     push_cost: Cycle,
     idle_set: &mut IdleSet,
@@ -1771,7 +1786,7 @@ impl RunMeta {
 const _: () = {
     const fn assert_send<T: Send + ?Sized>() {}
     assert_send::<dyn crate::engine::DependenceEngine>();
-    assert_send::<dyn crate::scheduler::Scheduler>();
+    assert_send::<ReadyPool>();
     assert_send::<dyn TaskSource>();
     assert_send::<crate::stream::WorkloadSource<'static>>();
     assert_send::<Backend>();
@@ -2394,6 +2409,99 @@ mod tests {
                 assert!(err.to_string().contains("DRIVER"), "{name}: {err}");
                 assert!(err.to_string().contains(expected), "{name}: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn resume_refuses_queued_tasks_that_are_not_in_flight() {
+        let chip = ChipConfig::default();
+        let config = small_chip(4).with_checkpoint_every(chip.micros(1.0));
+        let faulty = config
+            .clone()
+            .with_faults(FaultConfig::default().with_fault_rate(0.3));
+        // `snap` with section `id` replaced by `payload`, through the
+        // binary container.
+        let replaced = |snap: &Snapshot, id: u32, payload: Vec<u8>| {
+            let mut hostile = Snapshot::new();
+            for sid in snap.section_ids() {
+                let original = snap.section(sid).unwrap().to_vec();
+                hostile.add_section(sid, if sid == id { payload.clone() } else { original });
+            }
+            Snapshot::from_bytes(&hostile.to_bytes()).unwrap()
+        };
+        for backend in [Backend::tdm_default(), Backend::Software] {
+            let name = backend.name();
+            // The run's first checkpoint that `wanted` picks; the run halts
+            // there.
+            let first = |w: &Workload, config: &ExecConfig, wanted: &dyn Fn(&Snapshot) -> bool| {
+                let mut found = None;
+                simulate_stream_checkpointed_outcome(
+                    &mut WorkloadSource::new(w),
+                    &backend,
+                    SchedulerKind::Fifo,
+                    config,
+                    &mut |snap| {
+                        let keep_going = !wanted(&snap);
+                        if !keep_going {
+                            found = Some(snap);
+                        }
+                        keep_going
+                    },
+                );
+                found.expect("the run reaches a matching checkpoint")
+            };
+            let refused = |w: &Workload, snap: &Snapshot, config: &ExecConfig, names: [&str; 2]| {
+                let err =
+                    resume_stream_outcome(&mut WorkloadSource::new(w), snap, config).unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Corrupt { .. }),
+                    "{name}: {err}"
+                );
+                for expected in names {
+                    assert!(err.to_string().contains(expected), "{name}: {err}");
+                }
+            };
+
+            // The FIFO pool's SCHEDULER payload is its entries in order.
+            let w = independent_workload(200, 5.0);
+            let queued = |snap: &Snapshot| -> Vec<ReadyEntry> {
+                snapshot::from_payload(snap.section(section::SCHEDULER).unwrap(), "SCHEDULER")
+                    .unwrap()
+            };
+            let snap = &first(&w, &config, &|snap| !queued(snap).is_empty());
+            let queued = queued(snap);
+            let mut r = Reader::new(snap.section(section::DRIVER).unwrap());
+            let running = Vec::<Option<RunningTask>>::load(&mut r).unwrap();
+            let busy = running.iter().flatten().next().unwrap().task;
+            // Task 190 has not been created; the queued task is listed
+            // twice; the running task is also queued.
+            for (task, expected) in [
+                (TaskRef(190), "task#190"),
+                (queued[0].task, "twice"),
+                (busy, "DRIVER"),
+            ] {
+                let mut pool = queued.clone();
+                pool.push(ReadyEntry {
+                    task,
+                    creation_seq: task.index(),
+                    ..queued[0]
+                });
+                let hostile = replaced(snap, section::SCHEDULER, snapshot::to_payload(&pool));
+                refused(&w, &hostile, &config, ["SCHEDULER", expected]);
+            }
+
+            // Task 390 has not been created, and its retry falls due with an
+            // existing one, whose event would dispatch it.
+            let w = independent_workload(400, 5.0);
+            let fault = |snap: &Snapshot| -> FaultState {
+                snapshot::from_payload(snap.section(section::FAULT).unwrap(), "FAULT").unwrap()
+            };
+            let snap = &first(&w, &faulty, &|snap| fault(snap).has_pending_retries());
+            let mut fault = fault(snap);
+            let due = fault.pending_retries()[0].due;
+            fault.push_retry(due, TaskRef(390), 0);
+            let hostile = replaced(snap, section::FAULT, snapshot::to_payload(&fault));
+            refused(&w, &hostile, &faulty, ["FAULT", "task#390"]);
         }
     }
 

@@ -366,6 +366,11 @@ impl FaultState {
         !self.retry_queue.is_empty()
     }
 
+    /// The pending re-issues, in insertion order.
+    pub(crate) fn pending_retries(&self) -> &[RetryEntry] {
+        &self.retry_queue
+    }
+
     /// Dispatches every queued re-issue that is due at `now`, in queue
     /// insertion order, handing each to `reissue` and returning how many
     /// were dispatched. Due times are non-monotone across entries, so the

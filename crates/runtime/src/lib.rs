@@ -71,7 +71,7 @@ pub use exec::{
     ScheduledTask,
 };
 pub use fault::{FaultConfig, FaultPlan, FaultState};
-pub use scheduler::{ReadyEntry, Scheduler, SchedulerKind};
+pub use scheduler::{ReadyEntry, ReadyPool, SchedulerKind};
 pub use stream::{TaskSource, WorkloadSource};
 pub use task::{DependenceSpec, TaskRef, TaskSpec, Workload};
 pub use tdg::TaskGraph;

@@ -25,14 +25,14 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"TDMSNAP\0"
-//! 8       4     format version (currently 2)
+//! 8       4     format version (currently 3)
 //! 12      4     section count N
 //! 16      24*N  section table: { id: u32, offset: u64, len: u64, crc: u32 }
 //! ...           payloads, at the offsets recorded in the table
 //! ```
 //!
 //! Every section payload carries a CRC-32 (IEEE) in the table, checked on
-//! load; a reader rejects bad magic, future format versions, truncated
+//! load; a reader rejects bad magic, any other format version, truncated
 //! files and corrupt payloads with distinct, actionable [`SnapshotError`]s.
 //!
 //! # Field codec
@@ -71,10 +71,10 @@ pub const MAGIC: [u8; 8] = *b"TDMSNAP\0";
 
 /// Current snapshot format version. Bumped whenever any section layout or
 /// the container itself changes incompatibly; readers reject snapshots
-/// written by a *newer* format outright (no forward compatibility), and
-/// this reproduction keeps no legacy decoders — an old snapshot is
-/// regenerated, not migrated (see `SNAPSHOT_FORMAT.md`, "Versioning").
-pub const FORMAT_VERSION: u32 = 2;
+/// written by any other version outright, older or newer, because this
+/// reproduction keeps no legacy decoders — an old snapshot is regenerated,
+/// not migrated (see `SNAPSHOT_FORMAT.md`, "Versioning").
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Well-known section identifiers.
 ///
@@ -97,8 +97,8 @@ pub mod section {
     pub const STATS: u32 = 0x04;
     /// Data-locality model: per-core MRU block lists.
     pub const LOCALITY: u32 = 0x05;
-    /// Ready-pool (scheduler) state, including the Age policy's sequence
-    /// ring.
+    /// Ready-pool (scheduler) state: the ready entries in the policy's
+    /// order.
     pub const SCHEDULER: u32 = 0x06;
     /// Dependence-engine state: software tracking tables, or the DMU slabs
     /// (alias/task/dependence tables, list arrays, ready queue) plus the
@@ -211,11 +211,12 @@ pub enum SnapshotError {
         /// The first eight bytes actually found.
         found: [u8; 8],
     },
-    /// The file was written by a newer format than this build understands.
+    /// The file was written by a format version other than the one this
+    /// build reads.
     UnsupportedVersion {
         /// Version recorded in the file header.
         found: u32,
-        /// Highest version this build can read.
+        /// The one version this build reads, [`FORMAT_VERSION`].
         supported: u32,
     },
     /// The file ends before the structure it promises (header, section
@@ -256,9 +257,9 @@ impl fmt::Display for SnapshotError {
             ),
             SnapshotError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} is newer than the highest version this \
-                 build reads ({supported}) — re-run with the build that wrote the \
-                 snapshot, or regenerate it with this one"
+                "snapshot format version {found} is not the version this build reads \
+                 ({supported}) — re-run with the build that wrote the snapshot, or \
+                 regenerate it with this one"
             ),
             SnapshotError::Truncated { context } => write!(
                 f,
@@ -429,7 +430,7 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic { found: magic });
         }
         let version = u32::from_le_bytes(read_le(bytes, 8, "file header")?);
-        if version > FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -864,18 +865,20 @@ mod tests {
     }
 
     #[test]
-    fn future_version_is_rejected_cleanly() {
-        let mut bytes = Snapshot::new().to_bytes();
-        bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 5).to_le_bytes());
-        let err = Snapshot::from_bytes(&bytes).unwrap_err();
-        assert_eq!(
-            err,
-            SnapshotError::UnsupportedVersion {
-                found: FORMAT_VERSION + 5,
-                supported: FORMAT_VERSION,
-            }
-        );
-        assert!(err.to_string().contains("newer"));
+    fn other_versions_are_rejected_cleanly() {
+        for version in [0, FORMAT_VERSION - 1, FORMAT_VERSION + 5] {
+            let mut bytes = Snapshot::new().to_bytes();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = Snapshot::from_bytes(&bytes).unwrap_err();
+            assert_eq!(
+                err,
+                SnapshotError::UnsupportedVersion {
+                    found: version,
+                    supported: FORMAT_VERSION,
+                }
+            );
+            assert!(err.to_string().contains("not the version"), "{err}");
+        }
     }
 
     #[test]

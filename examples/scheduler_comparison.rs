@@ -24,7 +24,7 @@ fn main() {
             SchedulerKind::Fifo,
             SchedulerKind::Lifo,
             SchedulerKind::Locality,
-            SchedulerKind::Successor { threshold: 2 },
+            SchedulerKind::Successor,
             SchedulerKind::Age,
         ] {
             let report = simulate(&workload, &backend, kind, &config);

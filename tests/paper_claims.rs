@@ -56,12 +56,7 @@ fn priority_scheduling_helps_dedup() {
     let cfg = config(32);
     let backend = Backend::tdm_default();
     let fifo = simulate(&workload, &backend, SchedulerKind::Fifo, &cfg);
-    let succ = simulate(
-        &workload,
-        &backend,
-        SchedulerKind::Successor { threshold: 2 },
-        &cfg,
-    );
+    let succ = simulate(&workload, &backend, SchedulerKind::Successor, &cfg);
     let improvement = succ.speedup_over(&fifo);
     assert!(
         improvement > 1.08,

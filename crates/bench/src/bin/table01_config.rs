@@ -3,6 +3,7 @@
 use tdm_bench::print_table;
 use tdm_core::config::DmuConfig;
 use tdm_sim::config::ChipConfig;
+use tdm_sim::noc::NocModel;
 
 fn main() {
     let chip = ChipConfig::default();
@@ -58,7 +59,7 @@ fn main() {
             format!(
                 "mesh, {} per hop, DMU round trip {}",
                 chip.noc_hop_latency,
-                chip.dmu_round_trip()
+                NocModel::from_chip(&chip).average_round_trip()
             ),
         ],
         vec![

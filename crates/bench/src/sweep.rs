@@ -695,7 +695,6 @@ mod tests {
             if result.window != usize::MAX {
                 assert!(result.report.peak_resident_tasks <= result.window + 1);
             }
-            assert_eq!(result.report.tasks, result.report.stats.tasks_executed);
         }
     }
 

@@ -112,7 +112,7 @@ impl DmuStorageReport {
             },
             StructureStorage {
                 name: "ReadyQ",
-                entries: config.ready_queue_entries,
+                entries: config.ready_queue_entries(),
                 bits_per_entry: task_id_bits,
             },
         ];

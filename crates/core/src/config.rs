@@ -59,8 +59,6 @@ pub struct DmuConfig {
     pub reader_la_entries: usize,
     /// Elements stored per list-array entry (8 in the paper).
     pub elems_per_list_entry: usize,
-    /// Capacity of the Ready Queue, in task IDs.
-    pub ready_queue_entries: usize,
     /// Access latency of every DMU structure (1 cycle in the selected
     /// design; Figure 9 sweeps 1/4/16).
     pub access_latency: Cycle,
@@ -82,7 +80,6 @@ impl Default for DmuConfig {
             dependence_la_entries: 1024,
             reader_la_entries: 1024,
             elems_per_list_entry: 8,
-            ready_queue_entries: 2048,
             access_latency: Cycle::new(1),
             index_policy: IndexPolicy::Dynamic,
         }
@@ -101,6 +98,12 @@ impl DmuConfig {
         self.dat_entries
     }
 
+    /// The Ready Queue holds one task ID per Task Table entry: a task enters
+    /// it once and only while in flight, so it can never hold more.
+    pub fn ready_queue_entries(&self) -> usize {
+        self.task_table_entries()
+    }
+
     /// An effectively unbounded configuration used as the "ideal DMU with
     /// unlimited entries and equal latency" baseline of Figures 7–9.
     pub fn ideal() -> Self {
@@ -113,7 +116,6 @@ impl DmuConfig {
             dependence_la_entries: 1 << 20,
             reader_la_entries: 1 << 20,
             elems_per_list_entry: 8,
-            ready_queue_entries: 1 << 20,
             access_latency: Cycle::new(1),
             index_policy: IndexPolicy::Dynamic,
         }
@@ -195,7 +197,6 @@ impl DmuConfig {
             ("dependence_la_entries", self.dependence_la_entries),
             ("reader_la_entries", self.reader_la_entries),
             ("elems_per_list_entry", self.elems_per_list_entry),
-            ("ready_queue_entries", self.ready_queue_entries),
         ];
         for (name, value) in positive {
             if value == 0 {
@@ -255,7 +256,6 @@ impl Persist for DmuConfig {
         self.dependence_la_entries.save(out);
         self.reader_la_entries.save(out);
         self.elems_per_list_entry.save(out);
-        self.ready_queue_entries.save(out);
         self.access_latency.save(out);
         self.index_policy.save(out);
     }
@@ -269,7 +269,6 @@ impl Persist for DmuConfig {
             dependence_la_entries: usize::load(r)?,
             reader_la_entries: usize::load(r)?,
             elems_per_list_entry: usize::load(r)?,
-            ready_queue_entries: usize::load(r)?,
             access_latency: Cycle::load(r)?,
             index_policy: IndexPolicy::load(r)?,
         };
@@ -305,6 +304,7 @@ mod tests {
         let c = DmuConfig::default().with_alias_sizes(512, 1024);
         assert_eq!(c.task_table_entries(), 512);
         assert_eq!(c.dependence_table_entries(), 1024);
+        assert_eq!(c.ready_queue_entries(), 512);
     }
 
     #[test]

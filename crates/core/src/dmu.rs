@@ -23,6 +23,8 @@
 //!   `create_task` for tasks with no dependences). The cost model charges it
 //!   a single Task Table access.
 
+use std::collections::VecDeque;
+
 use serde::{Deserialize, Serialize};
 use tdm_sim::clock::Cycle;
 
@@ -31,13 +33,34 @@ use crate::alias::{AliasError, AliasTable};
 use crate::config::{DmuConfig, IndexPolicy};
 use crate::ids::{DepAddr, DepDirection, DepId, DescriptorAddr, TaskId};
 use crate::list_array::ListArray;
-use crate::ready_queue::ReadyQueue;
 use crate::tables::{DepEntry, DependenceTable, TaskEntry, TaskTable};
 
 /// Index-bit position used for the TAT. Task descriptors are small heap
 /// objects, so skipping the byte-offset bits of a cache line spreads
 /// consecutive descriptors across sets.
 const TAT_INDEX_LOW_BIT: u32 = 6;
+
+/// Algorithm 1's edge step from `pred` to `succ`: bumps `pred`'s successor
+/// count, appends `succ` to its successor list (whose space the caller
+/// pre-checked) and bumps `succ`'s predecessor count.
+fn add_edge(
+    tasks: &mut TaskTable,
+    sla: &mut ListArray,
+    pred: TaskId,
+    succ: TaskId,
+    accesses: &mut AccessCounter,
+) {
+    let row = tasks.row_mut(pred);
+    row.num_successors += 1;
+    let successor_list = row.successor_list;
+    accesses.touch(DmuStructure::TaskTable);
+    let walk = sla
+        .push(successor_list, succ.raw())
+        .expect("pre-checked SLA space");
+    accesses.record(DmuStructure::SuccessorLa, walk.entries_touched);
+    tasks.row_mut(succ).num_predecessors += 1;
+    accesses.touch(DmuStructure::TaskTable);
+}
 
 /// The DMU structure that caused an instruction to block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -144,10 +167,6 @@ pub struct DmuStats {
     pub stalls: u64,
     /// Total SRAM accesses across all completed operations.
     pub total_accesses: u64,
-    /// Peak number of in-flight tasks.
-    pub peak_tasks: usize,
-    /// Peak number of in-flight dependences.
-    pub peak_deps: usize,
 }
 
 /// The Dependence Management Unit.
@@ -188,7 +207,11 @@ pub struct Dmu {
     sla: ListArray,
     dla: ListArray,
     rla: ListArray,
-    ready: ReadyQueue,
+    /// The Ready Queue (Figure 3): tasks whose predecessors have all
+    /// finished, oldest first.
+    ready: VecDeque<TaskId>,
+    /// Highest Ready Queue occupancy so far.
+    ready_peak: usize,
     stats: DmuStats,
     /// Reusable scratch for the `add_dependence` pre-check: per-target
     /// successor-list push counts, so no allocation happens per operation.
@@ -198,10 +221,6 @@ pub struct Dmu {
 impl Dmu {
     /// Builds a DMU with the given structure geometry.
     ///
-    /// The Ready Queue is sized to at least the Task Table capacity so that
-    /// Algorithm 2 can never fail to enqueue a ready task (there can never be
-    /// more ready tasks than in-flight tasks).
-    ///
     /// # Panics
     ///
     /// Panics if `config` fails [`DmuConfig::validate`].
@@ -209,7 +228,6 @@ impl Dmu {
         if let Err(msg) = config.validate() {
             panic!("invalid DMU configuration: {msg}");
         }
-        let rq_capacity = config.ready_queue_entries.max(config.task_table_entries());
         Dmu {
             tat: AliasTable::new(
                 config.tat_entries,
@@ -224,7 +242,8 @@ impl Dmu {
             sla: ListArray::new(config.successor_la_entries, config.elems_per_list_entry),
             dla: ListArray::new(config.dependence_la_entries, config.elems_per_list_entry),
             rla: ListArray::new(config.reader_la_entries, config.elems_per_list_entry),
-            ready: ReadyQueue::new(rq_capacity),
+            ready: VecDeque::with_capacity(config.ready_queue_entries().min(4096)),
+            ready_peak: 0,
             stats: DmuStats::default(),
             req_scratch: Vec::new(),
             config,
@@ -263,10 +282,16 @@ impl Dmu {
             .ok_or(DmuError::UnknownTask(desc))
     }
 
-    fn record_completion(&mut self, accesses: &AccessCounter) {
-        self.stats.total_accesses += accesses.total();
-        self.stats.peak_tasks = self.stats.peak_tasks.max(self.tasks.len());
-        self.stats.peak_deps = self.stats.peak_deps.max(self.deps.len());
+    /// Appends a task to the Ready Queue. A task enters it once and only
+    /// while it is live, so the queue needs no capacity check: it never
+    /// holds more than [`DmuConfig::ready_queue_entries`] tasks.
+    fn push_ready(&mut self, task: TaskId) {
+        self.ready.push_back(task);
+        debug_assert!(
+            self.ready.len() <= self.tasks.len(),
+            "ready queue outgrew the live tasks"
+        );
+        self.ready_peak = self.ready_peak.max(self.ready.len());
     }
 
     /// `create_task(task_desc)`: registers a new in-flight task.
@@ -317,7 +342,7 @@ impl Dmu {
         accesses.touch(DmuStructure::TaskTable);
 
         self.stats.creates += 1;
-        self.record_completion(&accesses);
+        self.stats.total_accesses += accesses.total();
         Ok(DmuResult::new(id, accesses))
     }
 
@@ -385,25 +410,23 @@ impl Dmu {
         let mut needed_rla = 0;
         let needed_dla = usize::from(
             self.dla
-                .push_needs_new_entry(self.tasks.dependence_list(task)),
+                .push_needs_new_entry(self.tasks.row(task).dependence_list),
         );
 
         if let Some(dep_id) = dep {
-            if let Some(writer) = self.deps.last_writer(dep_id) {
-                if writer != task {
-                    bump(succ_pushes, writer);
-                }
+            let entry = self.deps.row(dep_id);
+            if let Some(writer) = entry.last_writer.filter(|&writer| writer != task) {
+                bump(succ_pushes, writer);
             }
-            let reader_list = self.deps.reader_list(dep_id);
             if dir.writes() {
-                for reader_raw in self.rla.iter(reader_list) {
+                for reader_raw in self.rla.iter(entry.reader_list) {
                     let reader = TaskId::new(reader_raw);
                     if reader == task {
                         continue;
                     }
                     bump(succ_pushes, reader);
                 }
-            } else if self.rla.push_needs_new_entry(reader_list) {
+            } else if self.rla.push_needs_new_entry(entry.reader_list) {
                 needed_rla += 1;
             }
         } else {
@@ -415,7 +438,7 @@ impl Dmu {
             .iter()
             .map(|&(target, pushes)| {
                 self.sla
-                    .new_entries_for_pushes(self.tasks.successor_list(target), pushes as usize)
+                    .new_entries_for_pushes(self.tasks.row(target).successor_list, pushes as usize)
             })
             .sum();
         (needed_sla, needed_dla, needed_rla)
@@ -515,7 +538,7 @@ impl Dmu {
         let dep = self.dep_id_for(addr, size, &mut accesses)?;
 
         // Insert depID in the dependence list of taskID.
-        let dep_list = self.tasks.dependence_list(task);
+        let dep_list = self.tasks.row(task).dependence_list;
         let walk = self
             .dla
             .push(dep_list, dep.raw())
@@ -523,22 +546,14 @@ impl Dmu {
         accesses.record(DmuStructure::DependenceLa, walk.entries_touched);
 
         // RAW / WAW edge from the last writer.
-        let last_writer = self.deps.last_writer(dep);
-        let reader_list = self.deps.reader_list(dep);
+        let DepEntry {
+            last_writer,
+            reader_list,
+            ..
+        } = *self.deps.row(dep);
         accesses.touch(DmuStructure::DependenceTable);
-        if let Some(writer) = last_writer {
-            if writer != task {
-                let succ_list = self.tasks.successor_list(writer);
-                self.tasks.inc_successors(writer);
-                accesses.touch(DmuStructure::TaskTable);
-                let walk = self
-                    .sla
-                    .push(succ_list, task.raw())
-                    .expect("pre-checked SLA space");
-                accesses.record(DmuStructure::SuccessorLa, walk.entries_touched);
-                self.tasks.inc_predecessors(task);
-                accesses.touch(DmuStructure::TaskTable);
-            }
+        if let Some(writer) = last_writer.filter(|&writer| writer != task) {
+            add_edge(&mut self.tasks, &mut self.sla, writer, task, &mut accesses);
         }
 
         if dir.writes() {
@@ -552,23 +567,13 @@ impl Dmu {
             );
             for reader_raw in self.rla.iter(reader_list) {
                 let reader = TaskId::new(reader_raw);
-                if reader == task {
-                    continue;
+                if reader != task {
+                    add_edge(&mut self.tasks, &mut self.sla, reader, task, &mut accesses);
                 }
-                let succ_list = self.tasks.successor_list(reader);
-                self.tasks.inc_successors(reader);
-                accesses.touch(DmuStructure::TaskTable);
-                let walk = self
-                    .sla
-                    .push(succ_list, task.raw())
-                    .expect("pre-checked SLA space");
-                accesses.record(DmuStructure::SuccessorLa, walk.entries_touched);
-                self.tasks.inc_predecessors(task);
-                accesses.touch(DmuStructure::TaskTable);
             }
             let flush_walk = self.rla.flush(reader_list);
             accesses.record(DmuStructure::ReaderLa, flush_walk.entries_touched);
-            self.deps.set_last_writer(dep, Some(task));
+            self.deps.row_mut(dep).last_writer = Some(task);
             accesses.touch(DmuStructure::DependenceTable);
         } else {
             // Pure input: register this task as a reader.
@@ -580,7 +585,7 @@ impl Dmu {
         }
 
         self.stats.add_dependences += 1;
-        self.record_completion(&accesses);
+        self.stats.total_accesses += accesses.total();
         Ok(DmuResult::new((), accesses))
     }
 
@@ -595,17 +600,16 @@ impl Dmu {
         let mut accesses = AccessCounter::new();
         accesses.touch(DmuStructure::Tat);
         let task = self.task_id(desc)?;
-        self.tasks.submit(task);
+        let row = self.tasks.row_mut(task);
+        row.under_construction = false;
+        let ready_now = row.num_predecessors == 0;
         accesses.touch(DmuStructure::TaskTable);
-        let ready_now = self.tasks.num_predecessors(task) == 0;
         if ready_now {
-            self.ready
-                .push(task)
-                .expect("ready queue sized to task table capacity");
+            self.push_ready(task);
             accesses.touch(DmuStructure::ReadyQueue);
         }
         self.stats.submits += 1;
-        self.record_completion(&accesses);
+        self.stats.total_accesses += accesses.total();
         Ok(DmuResult::new(ready_now, accesses))
     }
 
@@ -649,31 +653,33 @@ impl Dmu {
         let mut accesses = AccessCounter::new();
         accesses.touch(DmuStructure::Tat);
         let task = self.task_id(desc)?;
-        let successor_list = self.tasks.successor_list(task);
-        let dependence_list = self.tasks.dependence_list(task);
+        let TaskEntry {
+            successor_list,
+            dependence_list,
+            ..
+        } = *self.tasks.row(task);
         accesses.touch(DmuStructure::TaskTable);
 
         // First loop: wake up successors (walking the successor list in
-        // place; it mutates only the task table and the ready queue).
+        // place; it mutates only the task table), then queue the woken ones
+        // in the same order.
         accesses.record(
             DmuStructure::SuccessorLa,
             self.sla.entries_spanned(successor_list),
         );
         for succ_raw in self.sla.iter(successor_list) {
             let succ = TaskId::new(succ_raw);
-            debug_assert!(
-                self.tasks.num_predecessors(succ) > 0,
-                "predecessor underflow for {succ}"
-            );
-            let remaining = self.tasks.dec_predecessors(succ);
+            let row = self.tasks.row_mut(succ);
+            debug_assert!(row.num_predecessors > 0, "predecessor underflow for {succ}");
+            row.num_predecessors -= 1;
             accesses.touch(DmuStructure::TaskTable);
-            if remaining == 0 && !self.tasks.under_construction(succ) {
-                self.ready
-                    .push(succ)
-                    .expect("ready queue sized to task table capacity");
+            if row.num_predecessors == 0 && !row.under_construction {
                 accesses.touch(DmuStructure::ReadyQueue);
                 woken.push(succ);
             }
+        }
+        for &succ in woken.iter() {
+            self.push_ready(succ);
         }
 
         // Second loop: detach from dependences and free dead ones (walking
@@ -685,27 +691,24 @@ impl Dmu {
         );
         for dep_raw in self.dla.iter(dependence_list) {
             let dep = DepId::new(dep_raw);
-            if !self.deps.contains(dep) {
+            let Some(&entry) = self.deps.get(dep) else {
                 // Already freed via an earlier duplicate in this task's list.
                 continue;
-            }
-            let reader_list = self.deps.reader_list(dep);
-            let dep_addr = self.deps.addr(dep);
-            let dep_size = self.deps.size(dep);
-            let (_, walk) = self.rla.remove(reader_list, task.raw());
+            };
+            let (_, walk) = self.rla.remove(entry.reader_list, task.raw());
             accesses.record(DmuStructure::ReaderLa, walk.entries_touched);
 
             accesses.touch(DmuStructure::DependenceTable);
-            if self.deps.last_writer(dep) == Some(task) {
-                self.deps.set_last_writer(dep, None);
-            }
-            if self.deps.last_writer(dep).is_none() && self.rla.is_empty(reader_list) {
-                let walk = self.rla.free_list(reader_list);
+            let other_writer = entry.last_writer.is_some_and(|writer| writer != task);
+            if !other_writer && self.rla.is_empty(entry.reader_list) {
+                let walk = self.rla.free_list(entry.reader_list);
                 accesses.record(DmuStructure::ReaderLa, walk.entries_touched);
                 self.deps.remove(dep);
                 accesses.touch(DmuStructure::DependenceTable);
-                self.dat.remove(dep_addr.raw(), dep_size);
+                self.dat.remove(entry.addr.raw(), entry.size);
                 accesses.touch(DmuStructure::Dat);
+            } else if entry.last_writer == Some(task) {
+                self.deps.row_mut(dep).last_writer = None;
             }
         }
 
@@ -720,7 +723,7 @@ impl Dmu {
         accesses.touch(DmuStructure::Tat);
 
         self.stats.finishes += 1;
-        self.record_completion(&accesses);
+        self.stats.total_accesses += accesses.total();
         Ok(DmuResult::new((), accesses))
     }
 
@@ -730,17 +733,16 @@ impl Dmu {
     pub fn get_ready_task(&mut self) -> DmuResult<Option<ReadyTask>> {
         let mut accesses = AccessCounter::new();
         accesses.touch(DmuStructure::ReadyQueue);
-        let value = self.ready.pop().map(|task| {
-            let descriptor = self.tasks.descriptor(task);
-            let num_successors = self.tasks.num_successors(task);
+        let value = self.ready.pop_front().map(|task| {
+            let row = self.tasks.row(task);
             accesses.touch(DmuStructure::TaskTable);
             ReadyTask {
-                descriptor,
-                num_successors,
+                descriptor: row.descriptor,
+                num_successors: row.num_successors,
             }
         });
         self.stats.get_readies += 1;
-        self.record_completion(&accesses);
+        self.stats.total_accesses += accesses.total();
         DmuResult::new(value, accesses)
     }
 
@@ -757,10 +759,39 @@ impl Dmu {
             successor_la: self.sla.peak_entries_in_use(),
             dependence_la: self.dla.peak_entries_in_use(),
             reader_la: self.rla.peak_entries_in_use(),
-            ready_queue: self.ready.peak(),
+            ready_queue: self.ready_peak,
             tat: self.tat.occupancy().peak_entries,
             dat: self.dat.occupancy().peak_entries,
         }
+    }
+
+    /// Refuses a restored Ready Queue that the Task Table contradicts: each
+    /// queued task must be a live, submitted row with no unfinished
+    /// predecessor, queued once, and the recorded peak must cover the queue.
+    fn check_ready_queue(&self) -> Result<(), SnapshotError> {
+        let corrupt = |context: String| Err(SnapshotError::Corrupt { context });
+        if self.ready_peak < self.ready.len() {
+            return corrupt(format!(
+                "DMU ready queue holds {} tasks but records a peak of {}",
+                self.ready.len(),
+                self.ready_peak
+            ));
+        }
+        let mut queued = vec![false; self.tasks.capacity()];
+        for &task in &self.ready {
+            let problem = match self.tasks.get(task) {
+                None => "is not a live task table row",
+                Some(_) if queued[task.index()] => "is queued twice",
+                Some(row) if row.under_construction => "is still under construction",
+                Some(row) if row.num_predecessors > 0 => "still counts unfinished predecessors",
+                Some(_) => {
+                    queued[task.index()] = true;
+                    continue;
+                }
+            };
+            return corrupt(format!("DMU ready queue holds {task}, which {problem}"));
+        }
+        Ok(())
     }
 }
 
@@ -786,7 +817,7 @@ pub struct PeakOccupancy {
 }
 
 // Snapshot support: the full DMU state — geometry, both alias tables, the
-// task/dependence slabs, all three list arrays, the ready queue, and the
+// task/dependence tables, the list arrays, the ready queue and its peak, and the
 // operation counters. `req_scratch` is per-operation scratch (always empty
 // between operations) and is rebuilt empty on load.
 use tdm_sim::snapshot::{Persist, Reader, SnapshotError};
@@ -800,8 +831,6 @@ impl Persist for DmuStats {
         self.get_readies.save(out);
         self.stalls.save(out);
         self.total_accesses.save(out);
-        self.peak_tasks.save(out);
-        self.peak_deps.save(out);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         Ok(DmuStats {
@@ -812,8 +841,6 @@ impl Persist for DmuStats {
             get_readies: u64::load(r)?,
             stalls: u64::load(r)?,
             total_accesses: u64::load(r)?,
-            peak_tasks: usize::load(r)?,
-            peak_deps: usize::load(r)?,
         })
     }
 }
@@ -829,10 +856,11 @@ impl Persist for Dmu {
         self.dla.save(out);
         self.rla.save(out);
         self.ready.save(out);
+        self.ready_peak.save(out);
         self.stats.save(out);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Dmu {
+        let dmu = Dmu {
             config: DmuConfig::load(r)?,
             tat: AliasTable::load(r)?,
             dat: AliasTable::load(r)?,
@@ -841,10 +869,13 @@ impl Persist for Dmu {
             sla: ListArray::load(r)?,
             dla: ListArray::load(r)?,
             rla: ListArray::load(r)?,
-            ready: ReadyQueue::load(r)?,
+            ready: VecDeque::load(r)?,
+            ready_peak: usize::load(r)?,
             stats: DmuStats::load(r)?,
             req_scratch: Vec::new(),
-        })
+        };
+        dmu.check_ready_queue()?;
+        Ok(dmu)
     }
 }
 
@@ -862,7 +893,6 @@ mod tests {
             dependence_la_entries: 64,
             reader_la_entries: 64,
             elems_per_list_entry: 4,
-            ready_queue_entries: 64,
             access_latency: Cycle::new(1),
             index_policy: IndexPolicy::Dynamic,
         }
@@ -900,6 +930,49 @@ mod tests {
         spawn(&mut dmu, desc(1), &[(block(0), DepDirection::Out)]);
         let ready = drain_ready(&mut dmu);
         assert_eq!(ready, vec![desc(0), desc(1)]);
+    }
+
+    /// Tasks leave the Ready Queue in the order they entered it, and a task
+    /// woken by a finish queues behind the ones already waiting.
+    #[test]
+    fn ready_queue_fifo_order_is_preserved() {
+        let mut dmu = Dmu::new(small_config());
+        spawn(&mut dmu, desc(0), &[(block(0), DepDirection::Out)]);
+        spawn(&mut dmu, desc(1), &[(block(0), DepDirection::In)]);
+        for i in 2..5 {
+            spawn(&mut dmu, desc(i), &[(block(i), DepDirection::In)]);
+        }
+        let first = dmu.get_ready_task().value.unwrap();
+        assert_eq!(first.descriptor, desc(0));
+        dmu.finish_task(desc(0)).unwrap();
+        let rest = drain_ready(&mut dmu);
+        assert_eq!(rest, vec![desc(2), desc(3), desc(4), desc(1)]);
+    }
+
+    #[test]
+    fn ready_queue_pop_on_empty_returns_none() {
+        let mut dmu = Dmu::new(small_config());
+        assert_eq!(dmu.get_ready_task().value, None);
+        spawn(&mut dmu, desc(0), &[(block(0), DepDirection::Out)]);
+        spawn(&mut dmu, desc(1), &[(block(0), DepDirection::In)]);
+        assert_eq!(drain_ready(&mut dmu), vec![desc(0)]);
+        // Task 1 is live but blocked, so the drained queue has nothing.
+        assert_eq!(dmu.get_ready_task().value, None);
+        // Every poll counts, empty or not: one here, two in the drain, one
+        // before the first spawn.
+        assert_eq!(dmu.stats().get_readies, 4);
+    }
+
+    #[test]
+    fn ready_queue_peak_tracks_maximum_occupancy() {
+        let mut dmu = Dmu::new(small_config());
+        for i in 0..3 {
+            spawn(&mut dmu, desc(i), &[]);
+        }
+        assert_eq!(drain_ready(&mut dmu).len(), 3);
+        spawn(&mut dmu, desc(3), &[]);
+        // One task waits now; the peak keeps the high-water mark.
+        assert_eq!(dmu.peak_occupancy().ready_queue, 3);
     }
 
     #[test]
@@ -1221,8 +1294,6 @@ mod tests {
         assert_eq!(stats.finishes, 1);
         assert_eq!(stats.get_readies, 1);
         assert!(stats.total_accesses > 0);
-        assert_eq!(stats.peak_tasks, 2);
-        assert_eq!(stats.peak_deps, 1);
     }
 
     #[test]
@@ -1233,6 +1304,7 @@ mod tests {
         let peak = dmu.peak_occupancy();
         assert_eq!(peak.tasks, 2);
         assert_eq!(peak.deps, 1);
+        assert_eq!(peak.ready_queue, 1);
         assert!(peak.successor_la >= 2);
         assert!(peak.tat >= 2);
     }
@@ -1400,14 +1472,58 @@ mod tests {
         }
         assert_eq!(dmu.stats(), restored.stats());
     }
+
+    /// A restored Ready Queue must agree with the Task Table: a queued task
+    /// that is not live, is queued twice, is still under construction or
+    /// still waits on a predecessor is refused, and so is a recorded peak
+    /// below the queue's length.
+    #[test]
+    fn load_refuses_ready_entries_that_are_not_ready() {
+        // Task 0 is ready, task 1 waits for it, task 2 is not submitted.
+        let mut dmu = Dmu::new(small_config());
+        spawn(&mut dmu, desc(0), &[(block(0), DepDirection::Out)]);
+        spawn(&mut dmu, desc(1), &[(block(0), DepDirection::In)]);
+        dmu.create_task(desc(2)).unwrap();
+        let restore = |dmu: &Dmu| {
+            let mut bytes = Vec::new();
+            dmu.save(&mut bytes);
+            Dmu::load(&mut Reader::new(&bytes))
+        };
+        assert!(restore(&dmu).is_ok());
+
+        for (task, problem) in [
+            (TaskId::new(5), "is not a live task table row"),
+            (TaskId::new(0), "is queued twice"),
+            (TaskId::new(2), "is still under construction"),
+            (TaskId::new(1), "still counts unfinished predecessors"),
+        ] {
+            let mut hostile = dmu.clone();
+            hostile.ready.push_back(task);
+            hostile.ready_peak = hostile.ready.len();
+            match restore(&hostile) {
+                Err(SnapshotError::Corrupt { context }) => assert!(
+                    context.contains("ready queue holds") && context.contains(problem),
+                    "{context}"
+                ),
+                other => panic!("queued {task}: expected a corrupt ready queue, got {other:?}"),
+            }
+        }
+        let mut hostile = dmu.clone();
+        hostile.ready_peak = 0;
+        assert!(matches!(
+            restore(&hostile),
+            Err(SnapshotError::Corrupt { context }) if context.contains("records a peak of 0")
+        ));
+    }
 }
 
-/// Randomized lockstep equivalence suite for the struct-of-arrays DMU.
+/// Randomized lockstep equivalence suite for the slab DMU.
 ///
 /// `NaiveDmu` keeps the pre-slab reference implementation alive: per-set way
-/// vectors for the alias tables, `Vec<Option<Entry>>` task/dependence tables
-/// and the node-walking [`NaiveListArray`] — the layouts the slab refactor
-/// replaced. Every operation of a randomized workload is replayed on both
+/// vectors for the alias tables and the node-walking [`NaiveListArray`] —
+/// the layouts the slab alias tables and list arrays replaced. It shares the
+/// production row [`Table`](crate::tables::Table)s, whose layout never
+/// differed. Every operation of a randomized workload is replayed on both
 /// models and must produce bit-identical results, per-op access counters,
 /// errors and aggregate statistics.
 ///
@@ -1514,105 +1630,23 @@ mod dmu_lockstep {
         }
     }
 
-    /// The pre-refactor task table: one `Option<TaskEntry>` box per slot.
-    struct NaiveTaskTable {
-        entries: Vec<Option<TaskEntry>>,
-        live: usize,
-        peak: usize,
-    }
-
-    impl NaiveTaskTable {
-        fn new(capacity: usize) -> Self {
-            NaiveTaskTable {
-                entries: vec![None; capacity],
-                live: 0,
-                peak: 0,
-            }
-        }
-
-        fn get(&self, id: TaskId) -> &TaskEntry {
-            self.entries[id.index()].as_ref().expect("live task entry")
-        }
-
-        fn get_mut(&mut self, id: TaskId) -> &mut TaskEntry {
-            self.entries[id.index()].as_mut().expect("live task entry")
-        }
-
-        fn insert(&mut self, id: TaskId, entry: TaskEntry) {
-            assert!(self.entries[id.index()].is_none());
-            self.entries[id.index()] = Some(entry);
-            self.live += 1;
-            self.peak = self.peak.max(self.live);
-        }
-
-        fn remove(&mut self, id: TaskId) {
-            assert!(self.entries[id.index()].take().is_some());
-            self.live -= 1;
-        }
-    }
-
-    /// The pre-refactor dependence table.
-    struct NaiveDepTable {
-        entries: Vec<Option<DepEntry>>,
-        live: usize,
-        peak: usize,
-    }
-
-    impl NaiveDepTable {
-        fn new(capacity: usize) -> Self {
-            NaiveDepTable {
-                entries: vec![None; capacity],
-                live: 0,
-                peak: 0,
-            }
-        }
-
-        fn contains(&self, id: DepId) -> bool {
-            self.entries[id.index()].is_some()
-        }
-
-        fn get(&self, id: DepId) -> &DepEntry {
-            self.entries[id.index()]
-                .as_ref()
-                .expect("live dependence entry")
-        }
-
-        fn get_mut(&mut self, id: DepId) -> &mut DepEntry {
-            self.entries[id.index()]
-                .as_mut()
-                .expect("live dependence entry")
-        }
-
-        fn insert(&mut self, id: DepId, entry: DepEntry) {
-            assert!(self.entries[id.index()].is_none());
-            self.entries[id.index()] = Some(entry);
-            self.live += 1;
-            self.peak = self.peak.max(self.live);
-        }
-
-        fn remove(&mut self, id: DepId) {
-            assert!(self.entries[id.index()].take().is_some());
-            self.live -= 1;
-        }
-    }
-
     /// The reference DMU: identical semantics and access accounting to
     /// [`Dmu`], implemented over the old pointer-chasing storage.
     struct NaiveDmu {
         tat: NaiveAliasTable,
         dat: NaiveAliasTable,
-        tasks: NaiveTaskTable,
-        deps: NaiveDepTable,
+        tasks: TaskTable,
+        deps: DependenceTable,
         sla: NaiveListArray,
         dla: NaiveListArray,
         rla: NaiveListArray,
-        ready: ReadyQueue,
+        ready: VecDeque<TaskId>,
+        ready_peak: usize,
         stats: DmuStats,
     }
 
     impl NaiveDmu {
         fn new(config: &DmuConfig) -> Self {
-            let rq_capacity = config.ready_queue_entries.max(config.task_table_entries());
             NaiveDmu {
                 tat: NaiveAliasTable::new(
                     config.tat_entries,
@@ -1622,12 +1656,13 @@ mod dmu_lockstep {
                     },
                 ),
                 dat: NaiveAliasTable::new(config.dat_entries, config.dat_ways, config.index_policy),
-                tasks: NaiveTaskTable::new(config.task_table_entries()),
-                deps: NaiveDepTable::new(config.dependence_table_entries()),
+                tasks: TaskTable::new(config.task_table_entries()),
+                deps: DependenceTable::new(config.dependence_table_entries()),
                 sla: NaiveListArray::new(config.successor_la_entries, config.elems_per_list_entry),
                 dla: NaiveListArray::new(config.dependence_la_entries, config.elems_per_list_entry),
                 rla: NaiveListArray::new(config.reader_la_entries, config.elems_per_list_entry),
-                ready: ReadyQueue::new(rq_capacity),
+                ready: VecDeque::new(),
+                ready_peak: 0,
                 stats: DmuStats::default(),
             }
         }
@@ -1644,10 +1679,9 @@ mod dmu_lockstep {
                 .ok_or(DmuError::UnknownTask(desc))
         }
 
-        fn record_completion(&mut self, accesses: &AccessCounter) {
-            self.stats.total_accesses += accesses.total();
-            self.stats.peak_tasks = self.stats.peak_tasks.max(self.tasks.live);
-            self.stats.peak_deps = self.stats.peak_deps.max(self.deps.live);
+        fn push_ready(&mut self, task: TaskId) {
+            self.ready.push_back(task);
+            self.ready_peak = self.ready_peak.max(self.ready.len());
         }
 
         fn create_task(&mut self, desc: DescriptorAddr) -> Result<DmuResult<TaskId>, DmuError> {
@@ -1684,7 +1718,7 @@ mod dmu_lockstep {
             );
             accesses.touch(DmuStructure::TaskTable);
             self.stats.creates += 1;
-            self.record_completion(&accesses);
+            self.stats.total_accesses += accesses.total();
             Ok(DmuResult::new(id, accesses))
         }
 
@@ -1740,10 +1774,10 @@ mod dmu_lockstep {
             let mut needed_rla = 0;
             let needed_dla = usize::from(
                 self.dla
-                    .push_needs_new_entry(self.tasks.get(task).dependence_list),
+                    .push_needs_new_entry(self.tasks.row(task).dependence_list),
             );
             if let Some(dep_id) = dep {
-                let entry = self.deps.get(dep_id);
+                let entry = self.deps.row(dep_id);
                 if let Some(writer) = entry.last_writer {
                     if writer != task {
                         bump(&mut succ_pushes, writer);
@@ -1765,7 +1799,7 @@ mod dmu_lockstep {
                 .iter()
                 .map(|&(target, pushes)| {
                     self.sla.new_entries_for_pushes(
-                        self.tasks.get(target).successor_list,
+                        self.tasks.row(target).successor_list,
                         pushes as usize,
                     )
                 })
@@ -1800,27 +1834,27 @@ mod dmu_lockstep {
 
             let dep = self.dep_id_for(addr, size, &mut accesses)?;
 
-            let dep_list = self.tasks.get(task).dependence_list;
+            let dep_list = self.tasks.row(task).dependence_list;
             let walk = self
                 .dla
                 .push(dep_list, dep.raw())
                 .expect("pre-checked DLA space");
             accesses.record(DmuStructure::DependenceLa, walk.entries_touched);
 
-            let last_writer = self.deps.get(dep).last_writer;
-            let reader_list = self.deps.get(dep).reader_list;
+            let last_writer = self.deps.row(dep).last_writer;
+            let reader_list = self.deps.row(dep).reader_list;
             accesses.touch(DmuStructure::DependenceTable);
             if let Some(writer) = last_writer {
                 if writer != task {
-                    let succ_list = self.tasks.get(writer).successor_list;
-                    self.tasks.get_mut(writer).num_successors += 1;
+                    let succ_list = self.tasks.row(writer).successor_list;
+                    self.tasks.row_mut(writer).num_successors += 1;
                     accesses.touch(DmuStructure::TaskTable);
                     let walk = self
                         .sla
                         .push(succ_list, task.raw())
                         .expect("pre-checked SLA space");
                     accesses.record(DmuStructure::SuccessorLa, walk.entries_touched);
-                    self.tasks.get_mut(task).num_predecessors += 1;
+                    self.tasks.row_mut(task).num_predecessors += 1;
                     accesses.touch(DmuStructure::TaskTable);
                 }
             }
@@ -1835,20 +1869,20 @@ mod dmu_lockstep {
                     if reader == task {
                         continue;
                     }
-                    let succ_list = self.tasks.get(reader).successor_list;
-                    self.tasks.get_mut(reader).num_successors += 1;
+                    let succ_list = self.tasks.row(reader).successor_list;
+                    self.tasks.row_mut(reader).num_successors += 1;
                     accesses.touch(DmuStructure::TaskTable);
                     let walk = self
                         .sla
                         .push(succ_list, task.raw())
                         .expect("pre-checked SLA space");
                     accesses.record(DmuStructure::SuccessorLa, walk.entries_touched);
-                    self.tasks.get_mut(task).num_predecessors += 1;
+                    self.tasks.row_mut(task).num_predecessors += 1;
                     accesses.touch(DmuStructure::TaskTable);
                 }
                 let flush_walk = self.rla.flush(reader_list);
                 accesses.record(DmuStructure::ReaderLa, flush_walk.entries_touched);
-                self.deps.get_mut(dep).last_writer = Some(task);
+                self.deps.row_mut(dep).last_writer = Some(task);
                 accesses.touch(DmuStructure::DependenceTable);
             } else {
                 let walk = self
@@ -1859,7 +1893,7 @@ mod dmu_lockstep {
             }
 
             self.stats.add_dependences += 1;
-            self.record_completion(&accesses);
+            self.stats.total_accesses += accesses.total();
             Ok(DmuResult::new((), accesses))
         }
 
@@ -1867,17 +1901,15 @@ mod dmu_lockstep {
             let mut accesses = AccessCounter::new();
             accesses.touch(DmuStructure::Tat);
             let task = self.task_id(desc)?;
-            self.tasks.get_mut(task).under_construction = false;
+            self.tasks.row_mut(task).under_construction = false;
             accesses.touch(DmuStructure::TaskTable);
-            let ready_now = self.tasks.get(task).num_predecessors == 0;
+            let ready_now = self.tasks.row(task).num_predecessors == 0;
             if ready_now {
-                self.ready
-                    .push(task)
-                    .expect("ready queue sized to capacity");
+                self.push_ready(task);
                 accesses.touch(DmuStructure::ReadyQueue);
             }
             self.stats.submits += 1;
-            self.record_completion(&accesses);
+            self.stats.total_accesses += accesses.total();
             Ok(DmuResult::new(ready_now, accesses))
         }
 
@@ -1890,8 +1922,8 @@ mod dmu_lockstep {
             let mut accesses = AccessCounter::new();
             accesses.touch(DmuStructure::Tat);
             let task = self.task_id(desc)?;
-            let successor_list = self.tasks.get(task).successor_list;
-            let dependence_list = self.tasks.get(task).dependence_list;
+            let successor_list = self.tasks.row(task).successor_list;
+            let dependence_list = self.tasks.row(task).dependence_list;
             accesses.touch(DmuStructure::TaskTable);
 
             accesses.record(
@@ -1900,15 +1932,13 @@ mod dmu_lockstep {
             );
             for succ_raw in self.sla.collect(successor_list) {
                 let succ = TaskId::new(succ_raw);
-                let entry = self.tasks.get_mut(succ);
+                let entry = self.tasks.row_mut(succ);
                 entry.num_predecessors -= 1;
                 let remaining = entry.num_predecessors;
                 let under_construction = entry.under_construction;
                 accesses.touch(DmuStructure::TaskTable);
                 if remaining == 0 && !under_construction {
-                    self.ready
-                        .push(succ)
-                        .expect("ready queue sized to capacity");
+                    self.push_ready(succ);
                     accesses.touch(DmuStructure::ReadyQueue);
                     woken.push(succ);
                 }
@@ -1920,20 +1950,20 @@ mod dmu_lockstep {
             );
             for dep_raw in self.dla.collect(dependence_list) {
                 let dep = DepId::new(dep_raw);
-                if !self.deps.contains(dep) {
+                if self.deps.get(dep).is_none() {
                     continue;
                 }
-                let reader_list = self.deps.get(dep).reader_list;
-                let dep_addr = self.deps.get(dep).addr;
-                let dep_size = self.deps.get(dep).size;
+                let reader_list = self.deps.row(dep).reader_list;
+                let dep_addr = self.deps.row(dep).addr;
+                let dep_size = self.deps.row(dep).size;
                 let (_, walk) = self.rla.remove(reader_list, task.raw());
                 accesses.record(DmuStructure::ReaderLa, walk.entries_touched);
 
                 accesses.touch(DmuStructure::DependenceTable);
-                if self.deps.get(dep).last_writer == Some(task) {
-                    self.deps.get_mut(dep).last_writer = None;
+                if self.deps.row(dep).last_writer == Some(task) {
+                    self.deps.row_mut(dep).last_writer = None;
                 }
-                if self.deps.get(dep).last_writer.is_none() && self.rla.is_empty(reader_list) {
+                if self.deps.row(dep).last_writer.is_none() && self.rla.is_empty(reader_list) {
                     let walk = self.rla.free_list(reader_list);
                     accesses.record(DmuStructure::ReaderLa, walk.entries_touched);
                     self.deps.remove(dep);
@@ -1953,15 +1983,15 @@ mod dmu_lockstep {
             accesses.touch(DmuStructure::Tat);
 
             self.stats.finishes += 1;
-            self.record_completion(&accesses);
+            self.stats.total_accesses += accesses.total();
             Ok(DmuResult::new((), accesses))
         }
 
         fn get_ready_task(&mut self) -> DmuResult<Option<ReadyTask>> {
             let mut accesses = AccessCounter::new();
             accesses.touch(DmuStructure::ReadyQueue);
-            let value = self.ready.pop().map(|task| {
-                let entry = self.tasks.get(task);
+            let value = self.ready.pop_front().map(|task| {
+                let entry = self.tasks.row(task);
                 accesses.touch(DmuStructure::TaskTable);
                 ReadyTask {
                     descriptor: entry.descriptor,
@@ -1969,12 +1999,12 @@ mod dmu_lockstep {
                 }
             });
             self.stats.get_readies += 1;
-            self.record_completion(&accesses);
+            self.stats.total_accesses += accesses.total();
             DmuResult::new(value, accesses)
         }
 
         fn is_drained(&self) -> bool {
-            self.tasks.live == 0 && self.deps.live == 0 && self.ready.is_empty()
+            self.tasks.is_empty() && self.deps.is_empty() && self.ready.is_empty()
         }
     }
 
@@ -2036,8 +2066,9 @@ mod dmu_lockstep {
         fn check_aggregates(&self) {
             assert_eq!(self.dmu.stats(), self.naive.stats, "DmuStats diverged");
             let peak = self.dmu.peak_occupancy();
-            assert_eq!(peak.tasks, self.naive.tasks.peak);
-            assert_eq!(peak.deps, self.naive.deps.peak);
+            assert_eq!(peak.tasks, self.naive.tasks.peak());
+            assert_eq!(peak.deps, self.naive.deps.peak());
+            assert_eq!(peak.ready_queue, self.naive.ready_peak);
             assert_eq!(peak.tat, self.naive.tat.stats.peak_entries);
             assert_eq!(peak.dat, self.naive.dat.stats.peak_entries);
             assert_eq!(
@@ -2058,7 +2089,6 @@ mod dmu_lockstep {
             dependence_la_entries: 12,
             reader_la_entries: 12,
             elems_per_list_entry: 2,
-            ready_queue_entries: 16,
             access_latency: Cycle::new(1),
             index_policy: IndexPolicy::Dynamic,
         }

@@ -16,8 +16,8 @@
 //!   SRAMs holding per-task and per-dependence bookkeeping;
 //! * three **list arrays** ([`list_array`]) storing successor, dependence and
 //!   reader lists in an inode-like chained layout (Figure 5);
-//! * the **Ready Queue** ([`ready_queue`]), a FIFO of tasks whose
-//!   dependences are all satisfied.
+//! * the **Ready Queue**, a FIFO of tasks whose dependences are all
+//!   satisfied, kept inside [`dmu::Dmu`].
 //!
 //! The operational model of Section III-C — `create_task`, `add_dependence`
 //! (Algorithm 1), `finish_task` (Algorithm 2) and `get_ready_task` — lives in
@@ -62,7 +62,6 @@ pub mod config;
 pub mod dmu;
 pub mod ids;
 pub mod list_array;
-pub mod ready_queue;
 pub mod tables;
 
 pub use access::{AccessCounter, DmuStructure};

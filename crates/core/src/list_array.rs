@@ -22,20 +22,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ListHandle(usize);
 
-impl ListHandle {
-    /// Raw head-entry index (used by the area model and debug output).
-    pub fn index(self) -> usize {
-        self.0
-    }
-
-    /// Crate-internal constructor used by the struct-of-arrays tables to
-    /// fill unoccupied column slots with a placeholder; such placeholders
-    /// are never handed out and never dereferenced.
-    pub(crate) const fn from_raw(index: usize) -> Self {
-        ListHandle(index)
-    }
-}
-
 /// Error returned when the list array has no free entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ListArrayFull;

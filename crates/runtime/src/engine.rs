@@ -892,6 +892,7 @@ mod tests {
     use crate::task::{DependenceSpec, Workload};
     use crate::tdg::TaskGraph;
     use std::collections::VecDeque;
+    use tdm_sim::snapshot::FORMAT_VERSION;
 
     fn chain_workload(n: usize) -> Workload {
         Workload::new(
@@ -1394,6 +1395,97 @@ mod tests {
         let err = build().load_state(&mut Reader::new(&bytes)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "got: {err}");
         assert!(err.to_string().contains("per-op"), "got: {err}");
+    }
+
+    /// The hardware `ENGINE` bytes, pinned together with the snapshot format
+    /// version. The state covers every part of the layout: a Dependence
+    /// Table row freed between two live ones, a successor list chained over
+    /// two SLA entries, a non-empty Ready Queue and a creation stalled on a
+    /// full TAT set.
+    #[test]
+    fn hardware_snapshot_bytes_are_pinned() {
+        let config = DmuConfig {
+            tat_ways: 6,
+            dat_ways: 2,
+            elems_per_list_entry: 2,
+            ..DmuConfig::default()
+                .with_alias_sizes(6, 4)
+                .with_list_array_sizes(8, 8, 8)
+        };
+        let build = || {
+            HardwareEngine::new(
+                HardwareFlavor::Tdm,
+                config.clone(),
+                CostModel::default(),
+                Cycle::new(16),
+            )
+        };
+        let (x, y, z) = (0xA000, 0xB000, 0xC000);
+        let (write, read) = (DependenceSpec::output, DependenceSpec::input);
+        let specs: Vec<TaskSpec> = [
+            vec![write(z, 4096)],
+            vec![write(x, 4096)],
+            vec![write(y, 4096)],
+            vec![read(x, 4096)],
+            vec![read(x, 4096)],
+            vec![read(x, 4096)],
+            vec![read(y, 4096)],
+            vec![],
+        ]
+        .into_iter()
+        .map(|deps| TaskSpec::new("t", Cycle::new(1000), deps))
+        .collect();
+        let mut hw = build();
+        let mut ready = Vec::new();
+        let mut now = Cycle::ZERO;
+        let mut create = |hw: &mut HardwareEngine, now: &mut Cycle, t: usize| {
+            let outcome = hw.create_task(*now, TaskRef(t), &specs[t], &mut ready);
+            *now += outcome.cost;
+            outcome.completed
+        };
+        // Task 0 writes `z` alone and finishes after tasks 1 and 2 created
+        // `x` and `y`, so its Dependence Table row dies between theirs.
+        for t in 0..3 {
+            assert!(create(&mut hw, &mut now, t));
+        }
+        now += finish(&mut hw, now, TaskRef(0), &mut Vec::new());
+        // Tasks 3-5 read task 1's output, chaining its successor list; task
+        // 6 fills the six-way TAT set, and task 7 stalls on it.
+        for t in 3..7 {
+            assert!(create(&mut hw, &mut now, t));
+        }
+        assert!(!create(&mut hw, &mut now, 7));
+        assert!(hw.pending.is_some());
+        // Task 2 finishes on the DMU without the engine's drain, leaving
+        // task 6 in the Ready Queue.
+        let desc = hw.descriptor(TaskRef(2));
+        hw.dmu.finish_task(desc).unwrap();
+        assert_eq!(
+            hw.dmu.peak_occupancy().successor_la,
+            7,
+            "six heads, one chained"
+        );
+
+        let mut bytes = Vec::new();
+        hw.save_state(&mut bytes);
+        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(
+            (FORMAT_VERSION, bytes.len(), fnv1a),
+            (4, 2003, 0xfdbd_6ffa_253b_d9dc),
+            "the hardware ENGINE bytes changed: if the layout changed, bump \
+             tdm_sim::snapshot::FORMAT_VERSION and SNAPSHOT_FORMAT.md, then re-pin \
+             the length and hash"
+        );
+
+        let mut restored = build();
+        restored.load_state(&mut Reader::new(&bytes)).unwrap();
+        let mut again = Vec::new();
+        restored.save_state(&mut again);
+        assert_eq!(again, bytes);
+        let queued = restored.dmu.get_ready_task().value.map(|t| t.descriptor);
+        assert_eq!(queued, Some(restored.descriptor(TaskRef(6))));
     }
 
     #[test]

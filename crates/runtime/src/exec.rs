@@ -1440,12 +1440,6 @@ fn run_core<F: TaskFeed>(
     );
 
     stats.makespan = makespan;
-    stats.tasks_executed = finished as u64;
-    let hardware = engine.hardware_report();
-    if let Some(hw) = &hardware {
-        stats.dmu_stall_cycles = hw.stall_cycles;
-        stats.dmu_instructions = hw.instructions;
-    }
     stats.normalize_to_makespan();
 
     let report = RunReport {
@@ -1453,7 +1447,7 @@ fn run_core<F: TaskFeed>(
         backend: backend.name().to_string(),
         scheduler: scheduler_name,
         stats,
-        hardware,
+        hardware: engine.hardware_report(),
         tasks: finished as u64,
         peak_resident_tasks: peak_resident,
         faults_injected: fault_state.faults_injected,
@@ -1876,7 +1870,6 @@ mod tests {
         ] {
             let report = simulate(&w, &backend, SchedulerKind::Fifo, &small_chip(4));
             assert_eq!(report.tasks, 40, "backend {}", backend.name());
-            assert_eq!(report.stats.tasks_executed, 40);
             assert!(report.makespan() > Cycle::ZERO);
         }
     }
@@ -1987,7 +1980,7 @@ mod tests {
             ..DmuConfig::default()
         };
         let report = simulate(&w, &Backend::Tdm(dmu), SchedulerKind::Fifo, &small_chip(4));
-        assert_eq!(report.stats.tasks_executed, 60);
+        assert_eq!(report.tasks, 60);
         let hw = report.hardware.unwrap();
         assert!(hw.stats.stalls > 0);
     }
@@ -2001,7 +1994,7 @@ mod tests {
         assert!(graph.critical_path_len() == 5);
         for kind in SchedulerKind::all() {
             let report = simulate(&w, &Backend::tdm_default(), kind, &small_chip(4));
-            assert_eq!(report.stats.tasks_executed, 30, "scheduler {}", kind.name());
+            assert_eq!(report.tasks, 30, "scheduler {}", kind.name());
         }
     }
 
@@ -2009,7 +2002,7 @@ mod tests {
     fn single_core_run_works() {
         let w = independent_workload(5, 10.0);
         let report = simulate(&w, &Backend::Software, SchedulerKind::Fifo, &small_chip(1));
-        assert_eq!(report.stats.tasks_executed, 5);
+        assert_eq!(report.tasks, 5);
         // With one core the master does everything; no idle time beyond
         // rounding is expected for independent tasks.
         assert!(report.stats.cores[0].get(Phase::Exec) > Cycle::ZERO);
@@ -2019,7 +2012,7 @@ mod tests {
     fn empty_workload_completes_immediately() {
         let w = Workload::new("empty", vec![]);
         let report = simulate(&w, &Backend::Software, SchedulerKind::Fifo, &small_chip(4));
-        assert_eq!(report.stats.tasks_executed, 0);
+        assert_eq!(report.tasks, 0);
         assert_eq!(report.makespan(), Cycle::ZERO);
         // The streaming path agrees on the degenerate case.
         let mut source = WorkloadSource::new(&w);
@@ -2029,7 +2022,7 @@ mod tests {
             SchedulerKind::Fifo,
             &small_chip(4),
         );
-        assert_eq!(streamed.stats.tasks_executed, 0);
+        assert_eq!(streamed.tasks, 0);
     }
 
     #[test]
@@ -2106,7 +2099,7 @@ mod tests {
                 SchedulerKind::Fifo,
                 &config,
             );
-            assert_eq!(report.stats.tasks_executed, 50, "window {window}");
+            assert_eq!(report.tasks, 50, "window {window}");
             assert!(
                 report.peak_resident_tasks <= window + 1,
                 "window {window}: {} specs resident",
@@ -2130,7 +2123,7 @@ mod tests {
             SchedulerKind::Fifo,
             &config,
         );
-        assert_eq!(report.stats.tasks_executed, 36);
+        assert_eq!(report.tasks, 36);
         assert!(report.peak_resident_tasks <= 3);
     }
 
@@ -2152,7 +2145,7 @@ mod tests {
             SchedulerKind::Fifo,
             &small_chip(4).with_window(1),
         );
-        assert_eq!(narrow.stats.tasks_executed, 30);
+        assert_eq!(narrow.tasks, 30);
         assert!(narrow.makespan() >= wide.makespan());
     }
 
@@ -2565,7 +2558,7 @@ mod tests {
         let eager_zero = simulate(&w, &Backend::tdm_default(), SchedulerKind::Fifo, &zero);
         let eager_one = simulate(&w, &Backend::tdm_default(), SchedulerKind::Fifo, &one);
         assert_eq!(eager_zero, eager_one);
-        assert_eq!(eager_zero.stats.tasks_executed, 24);
+        assert_eq!(eager_zero.tasks, 24);
 
         let mut source = WorkloadSource::new(&w);
         let stream_zero = simulate_stream(

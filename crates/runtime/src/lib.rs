@@ -43,7 +43,7 @@
 //! );
 //! let config = ExecConfig::default().with_cores(4);
 //! let report: RunReport = simulate(&workload, &Backend::tdm_default(), SchedulerKind::Fifo, &config);
-//! assert_eq!(report.stats.tasks_executed, 2);
+//! assert_eq!(report.tasks, 2);
 //! // The consumer serializes after the producer, so the region takes about
 //! // two task bodies, not one (durations carry a small default jitter).
 //! assert!(report.makespan() > Cycle::new(350_000));

@@ -83,14 +83,6 @@ impl Default for MemoryConfig {
     }
 }
 
-impl MemoryConfig {
-    /// Extra latency paid when a block is not in the local L1 but is in the
-    /// shared L2 (i.e. it was produced by a task on another core).
-    pub fn remote_block_penalty(&self) -> Cycle {
-        self.l2_hit_latency.saturating_sub(self.l1_hit_latency)
-    }
-}
-
 /// Full configuration of the simulated chip (Table I).
 ///
 /// # Example
@@ -118,8 +110,6 @@ pub struct ChipConfig {
     /// TDM ISA instruction pays a round trip on top of the DMU processing
     /// time.
     pub noc_hop_latency: Cycle,
-    /// Average number of NoC hops between a core and the DMU.
-    pub noc_avg_hops: u32,
 }
 
 impl Default for ChipConfig {
@@ -130,7 +120,6 @@ impl Default for ChipConfig {
             core: CoreConfig::default(),
             memory: MemoryConfig::default(),
             noc_hop_latency: Cycle::new(2),
-            noc_avg_hops: 4,
         }
     }
 }
@@ -149,12 +138,6 @@ impl ChipConfig {
             num_cores,
             ..Self::default()
         }
-    }
-
-    /// Round-trip NoC latency between a core and the DMU.
-    pub fn dmu_round_trip(&self) -> Cycle {
-        self.noc_hop_latency
-            .scaled(u64::from(self.noc_avg_hops) * 2)
     }
 
     /// Convenience: convert microseconds to cycles at this chip's frequency.
@@ -198,19 +181,6 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn with_zero_cores_panics() {
         let _ = ChipConfig::with_cores(0);
-    }
-
-    #[test]
-    fn dmu_round_trip_is_twice_hops_times_latency() {
-        let chip = ChipConfig::default();
-        // 4 hops * 2 cycles * 2 directions = 16 cycles.
-        assert_eq!(chip.dmu_round_trip(), Cycle::new(16));
-    }
-
-    #[test]
-    fn remote_block_penalty_is_l2_minus_l1() {
-        let mem = MemoryConfig::default();
-        assert_eq!(mem.remote_block_penalty(), Cycle::new(18));
     }
 
     #[test]

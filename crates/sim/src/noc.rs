@@ -173,6 +173,20 @@ mod tests {
         assert_eq!(noc.hop_latency, chip.noc_hop_latency);
     }
 
+    /// The round trip every TDM instruction is charged; Table I prints the
+    /// 32-core one.
+    #[test]
+    fn chip_dmu_round_trip_matches_table_one() {
+        for (cores, cycles) in [(32, 14), (8, 7), (64, 18)] {
+            let noc = NocModel::from_chip(&ChipConfig::with_cores(cores));
+            assert_eq!(
+                noc.average_round_trip(),
+                Cycle::new(cycles),
+                "{cores} cores"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn hops_rejects_out_of_range_core() {

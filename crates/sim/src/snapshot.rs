@@ -25,7 +25,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"TDMSNAP\0"
-//! 8       4     format version (currently 3)
+//! 8       4     format version (currently 4)
 //! 12      4     section count N
 //! 16      24*N  section table: { id: u32, offset: u64, len: u64, crc: u32 }
 //! ...           payloads, at the offsets recorded in the table
@@ -74,7 +74,7 @@ pub const MAGIC: [u8; 8] = *b"TDMSNAP\0";
 /// written by any other version outright, older or newer, because this
 /// reproduction keeps no legacy decoders — an old snapshot is regenerated,
 /// not migrated (see `SNAPSHOT_FORMAT.md`, "Versioning").
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Well-known section identifiers.
 ///
@@ -100,9 +100,9 @@ pub mod section {
     /// Ready-pool (scheduler) state: the ready entries in the policy's
     /// order.
     pub const SCHEDULER: u32 = 0x06;
-    /// Dependence-engine state: software tracking tables, or the DMU slabs
-    /// (alias/task/dependence tables, list arrays, ready queue) plus the
-    /// engine-level descriptor bookkeeping.
+    /// Dependence-engine state: software tracking tables, or the DMU
+    /// structures (alias tables, task/dependence table rows, list arrays,
+    /// ready queue) plus the engine-level descriptor bookkeeping.
     pub const ENGINE: u32 = 0x07;
     /// Task-feed state: the source cursor plus the bounded in-flight window
     /// of task specs (cursors, not buffered future tasks — see
@@ -171,7 +171,7 @@ pub const SECTIONS: &[SectionInfo] = &[
     SectionInfo {
         id: section::ENGINE,
         name: "ENGINE",
-        summary: "dependence-engine state (software tables or DMU slabs)",
+        summary: "dependence-engine state (software tables or DMU structures)",
     },
     SectionInfo {
         id: section::FEED,
@@ -770,9 +770,6 @@ impl Persist for crate::stats::SimStats {
         self.makespan.save(out);
         self.cores.save(out);
         self.master.save(out);
-        self.tasks_executed.save(out);
-        self.dmu_stall_cycles.save(out);
-        self.dmu_instructions.save(out);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
         let makespan = Cycle::load(r)?;
@@ -781,9 +778,6 @@ impl Persist for crate::stats::SimStats {
         let mut stats = crate::stats::SimStats::new(cores.len(), master);
         stats.makespan = makespan;
         stats.cores = cores;
-        stats.tasks_executed = u64::load(r)?;
-        stats.dmu_stall_cycles = Cycle::load(r)?;
-        stats.dmu_instructions = u64::load(r)?;
         Ok(stats)
     }
 }
@@ -1015,16 +1009,11 @@ mod tests {
     fn sim_stats_round_trip() {
         let mut stats = crate::stats::SimStats::new(3, 0);
         stats.makespan = Cycle::new(1234);
-        stats.tasks_executed = 99;
-        stats.dmu_stall_cycles = Cycle::new(5);
-        stats.dmu_instructions = 400;
         stats.cores[1].add(crate::stats::Phase::Exec, Cycle::new(800));
         stats.cores[2].add(crate::stats::Phase::Idle, Cycle::new(30));
         let back: crate::stats::SimStats = from_payload(&to_payload(&stats), "stats").unwrap();
         assert_eq!(back.makespan, stats.makespan);
-        assert_eq!(back.tasks_executed, stats.tasks_executed);
-        assert_eq!(back.dmu_stall_cycles, stats.dmu_stall_cycles);
-        assert_eq!(back.dmu_instructions, stats.dmu_instructions);
+        assert_eq!(back.master, stats.master);
         assert_eq!(back.cores.len(), 3);
         for core in 0..3 {
             for phase in crate::stats::Phase::ALL {

@@ -164,13 +164,6 @@ pub struct SimStats {
     pub cores: Vec<CoreBreakdown>,
     /// Index of the master core in `cores`.
     pub master: usize,
-    /// Number of tasks executed.
-    pub tasks_executed: u64,
-    /// Number of cycles the master (or any creator) was stalled because a DMU
-    /// structure was full. Zero for pure-software runs.
-    pub dmu_stall_cycles: Cycle,
-    /// Number of TDM ISA instructions issued (zero for pure-software runs).
-    pub dmu_instructions: u64,
 }
 
 impl SimStats {
@@ -189,9 +182,6 @@ impl SimStats {
             makespan: Cycle::ZERO,
             cores: vec![CoreBreakdown::new(); num_cores],
             master,
-            tasks_executed: 0,
-            dmu_stall_cycles: Cycle::ZERO,
-            dmu_instructions: 0,
         }
     }
 

@@ -31,7 +31,7 @@
 //!     SchedulerKind::Locality,
 //!     &ExecConfig::default(),
 //! );
-//! assert_eq!(report.stats.tasks_executed, 5_984);
+//! assert_eq!(report.tasks, 5_984);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -42,11 +42,7 @@ fn survivable_faults() -> FaultConfig {
 /// Golden-model check of a faulted (but completed) run: every task finishes
 /// exactly once, in an order the reference graph allows.
 fn assert_schedule_valid(report: &RunReport, workload: &Workload, context: &str) {
-    assert_eq!(
-        report.stats.tasks_executed,
-        workload.len() as u64,
-        "{context}: task count"
-    );
+    assert_eq!(report.tasks, workload.len() as u64, "{context}: task count");
     let order = report.finish_order();
     assert_is_permutation(&order, workload.len());
     let graph = TaskGraph::build(workload);
@@ -156,7 +152,7 @@ fn retry_exhaustion_aborts_with_a_typed_outcome() {
         u64::from(*attempts) <= report.faults_injected,
         "the aborting task's failures are part of the fault counter"
     );
-    assert_eq!(report.stats.tasks_executed, 0, "no task can ever finish");
+    assert_eq!(report.tasks, 0, "no task can ever finish");
     assert!(task.index() < workload.len());
 
     assert_eq!(outcome, run(), "abort must be deterministic");

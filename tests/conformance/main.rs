@@ -30,6 +30,7 @@ mod snapshot;
 mod stats;
 mod streaming;
 mod sweep;
+mod tat_cliff;
 mod trace;
 
 use tdm::prelude::*;

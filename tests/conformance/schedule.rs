@@ -24,11 +24,7 @@ fn check_run(
         backend.name(),
         scheduler.name()
     );
-    assert_eq!(
-        report.stats.tasks_executed,
-        workload.len() as u64,
-        "{context}: task count"
-    );
+    assert_eq!(report.tasks, workload.len() as u64, "{context}: task count");
     let order = report.finish_order();
     assert_is_permutation(&order, workload.len());
     if let Err((pred, task)) = graph.check_order(&order) {

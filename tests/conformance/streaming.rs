@@ -98,11 +98,7 @@ fn windowed_runs_conform_and_bound_residency() {
                 let context = format!("{} window {window} on {}", workload.name, backend.name());
                 let mut stream = small_benchmark_streams().swap_remove(w_idx);
                 let report = simulate_stream(&mut stream, &backend, SchedulerKind::Fifo, &config);
-                assert_eq!(
-                    report.stats.tasks_executed,
-                    workload.len() as u64,
-                    "{context}: task count"
-                );
+                assert_eq!(report.tasks, workload.len() as u64, "{context}: task count");
                 assert!(
                     report.peak_resident_tasks <= window + 1,
                     "{context}: {} specs resident",
@@ -168,7 +164,7 @@ fn tight_window_throttles_the_master() {
         SchedulerKind::Fifo,
         &config_tight,
     );
-    assert_eq!(tight.stats.tasks_executed, workload.len() as u64);
+    assert_eq!(tight.tasks, workload.len() as u64);
     // A 2-task window cannot be faster than an unbounded one.
     assert!(
         tight.makespan() >= wide.makespan(),

@@ -104,7 +104,7 @@ fn simulation_always_completes() {
         for backend in [Backend::Software, Backend::tdm_default()] {
             let report = simulate(&workload, &backend, scheduler, &config);
             assert_eq!(
-                report.stats.tasks_executed,
+                report.tasks,
                 workload.len() as u64,
                 "seed {seed} backend {} scheduler {}",
                 backend.name(),
@@ -134,7 +134,7 @@ fn benchmark_workloads_complete_on_all_backends_scaled_down() {
         ] {
             let report = simulate(workload, &backend, SchedulerKind::Locality, &config);
             assert_eq!(
-                report.stats.tasks_executed,
+                report.tasks,
                 workload.len() as u64,
                 "{} on {}",
                 workload.name,

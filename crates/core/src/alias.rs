@@ -278,15 +278,6 @@ impl AliasTable {
         self.valid_entries -= 1;
         Some(id)
     }
-
-    /// Removes every mapping (used between parallel regions in tests).
-    pub fn clear(&mut self) {
-        let capacity = self.capacity();
-        self.set_lens.fill(0);
-        self.free_ids = (0..capacity as u32).rev().collect();
-        self.valid_entries = 0;
-        self.occupied = 0;
-    }
 }
 
 // Snapshot support. Everything is persisted verbatim — including the free-ID
@@ -484,20 +475,6 @@ mod tests {
         assert_eq!(t.set_index(8192, 4096), 2 % t.num_sets());
         // size 1 -> shift 0.
         assert_eq!(t.set_index(5, 1), 5 % t.num_sets());
-    }
-
-    #[test]
-    fn clear_resets_table() {
-        let mut t = table(8, 2);
-        t.insert(1, 1).unwrap();
-        t.insert(2, 1).unwrap();
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.occupied_sets(), 0);
-        // All IDs are available again.
-        for i in 0..8u64 {
-            t.insert(i, 1).unwrap();
-        }
     }
 
     #[test]

@@ -447,7 +447,7 @@ impl DependenceEngine for SoftwareEngine {
         let occupied = usize::load(r)?;
         let next_create = usize::load(r)?;
         if slots.iter().filter(|s| s.is_some()).count() != occupied
-            || base + slots.len() != next_create
+            || base.checked_add(slots.len()) != Some(next_create)
         {
             return Err(SnapshotError::Corrupt {
                 context: format!(
@@ -456,6 +456,43 @@ impl DependenceEngine for SoftwareEngine {
                     slots.len()
                 ),
             });
+        }
+        // `finish_one` relies on two more invariants: every registered
+        // successor is a live task created later, and each live task waits
+        // on as many predecessor edges as the live successor lists name it.
+        let mut named = vec![0u64; slots.len()];
+        for (slot, live) in slots.iter().enumerate() {
+            for &succ in live.iter().flat_map(|live| &live.successors) {
+                match succ.index().checked_sub(base) {
+                    Some(s) if s > slot && slots.get(s).is_some_and(Option::is_some) => {
+                        named[s] += 1;
+                    }
+                    _ => {
+                        return Err(SnapshotError::Corrupt {
+                            context: format!(
+                                "software task#{} lists successor {succ}, which is not \
+                                 a live task created after it",
+                                base + slot
+                            ),
+                        })
+                    }
+                }
+            }
+        }
+        for (slot, live) in slots.iter().enumerate() {
+            if let Some(live) = live {
+                if u64::from(live.pending_predecessors) != named[slot] {
+                    return Err(SnapshotError::Corrupt {
+                        context: format!(
+                            "software task#{} waits on {} predecessors, but {} live \
+                             successor lists name it",
+                            base + slot,
+                            live.pending_predecessors,
+                            named[slot]
+                        ),
+                    });
+                }
+            }
         }
         self.addr_state = addr_state;
         self.live = LiveSlab {
@@ -1290,6 +1327,77 @@ mod tests {
         let cb = finish(&mut restored, Cycle::ZERO, TaskRef(1), &mut b);
         assert_eq!(ca, cb);
         assert_eq!(a, b);
+    }
+
+    /// Hostile mid-run states, each written by `save_state` and refused by
+    /// `load_state`. Loaded, the first would panic in `finish_one` when task
+    /// 1 finishes; the others would leave a task waiting forever or
+    /// underflow its pending count.
+    #[test]
+    fn software_load_refuses_successor_lists_the_live_slab_contradicts() {
+        // Fork-join with the root finished: tasks 1..=4 are live, each with
+        // no successors. Finishing task 2 leaves a hole in the span.
+        let w = fork_join_workload();
+        let mut engine = SoftwareEngine::new(CostModel::default());
+        let mut ready = create_all(&mut engine, &w);
+        finish(&mut engine, Cycle::ZERO, TaskRef(0), &mut ready);
+        finish(&mut engine, Cycle::ZERO, TaskRef(2), &mut ready);
+        // A chain of four, all created: each task waits on the one before.
+        let chain = chain_workload(4);
+        let mut chained = SoftwareEngine::new(CostModel::default());
+        create_all(&mut chained, &chain);
+
+        type Edit = fn(&mut LiveSlab);
+        let cases: [(&SoftwareEngine, Edit, &str); 5] = [
+            // Task 2 has finished.
+            (
+                &engine,
+                |slab| slab.get_mut(1).unwrap().successors.push(TaskRef(2)),
+                "task#2",
+            ),
+            // Task 9 has not been created.
+            (
+                &engine,
+                |slab| slab.get_mut(1).unwrap().successors.push(TaskRef(9)),
+                "task#9",
+            ),
+            // A successor created before its predecessor.
+            (
+                &chained,
+                |slab| slab.get_mut(2).unwrap().successors = vec![TaskRef(1)],
+                "task#1",
+            ),
+            // One pending edge too many, and one too few.
+            (
+                &chained,
+                |slab| slab.get_mut(3).unwrap().pending_predecessors = 2,
+                "waits on 2",
+            ),
+            (
+                &chained,
+                |slab| slab.get_mut(3).unwrap().pending_predecessors = 0,
+                "waits on 0",
+            ),
+        ];
+        for (original, edit, names) in cases {
+            let mut hostile = original.clone();
+            edit(&mut hostile.live);
+            let mut bytes = Vec::new();
+            hostile.save_state(&mut bytes);
+            let mut restored = SoftwareEngine::new(CostModel::default());
+            let err = restored
+                .load_state(&mut Reader::new(&bytes))
+                .expect_err(names);
+            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains(names), "{err}");
+        }
+        // The unedited states still load.
+        for original in [&engine, &chained] {
+            let mut bytes = Vec::new();
+            original.save_state(&mut bytes);
+            let mut restored = SoftwareEngine::new(CostModel::default());
+            restored.load_state(&mut Reader::new(&bytes)).unwrap();
+        }
     }
 
     #[test]

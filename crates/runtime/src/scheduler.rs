@@ -23,6 +23,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 use tdm_sim::clock::Cycle;
+use tdm_sim::fast_map::FastMap;
 use tdm_sim::snapshot::{Persist, Reader, SnapshotError};
 
 use crate::task::TaskRef;
@@ -93,7 +94,10 @@ impl SchedulerKind {
         ReadyPool(match self {
             SchedulerKind::Fifo => Pool::Fifo(VecDeque::new()),
             SchedulerKind::Lifo => Pool::Lifo(Vec::new()),
-            SchedulerKind::Locality => Pool::Locality(VecDeque::new()),
+            SchedulerKind::Locality => Pool::Locality {
+                queue: VecDeque::new(),
+                queued: FastMap::default(),
+            },
             SchedulerKind::Successor => Pool::Successor {
                 high: VecDeque::new(),
                 low: VecDeque::new(),
@@ -172,8 +176,14 @@ enum Pool {
     /// Reverse readiness order.
     Lifo(Vec<ReadyEntry>),
     /// Readiness order, searched for a successor of the requesting core's
-    /// last task (Section VI).
-    Locality(VecDeque<ReadyEntry>),
+    /// last task (Section VI). `queued` counts the entries of each producer
+    /// core, so a pop scans only when the requesting core has one queued.
+    /// It is a map because producer ids also come from snapshots: its size
+    /// follows the distinct producers, not the largest id.
+    Locality {
+        queue: VecDeque<ReadyEntry>,
+        queued: FastMap<usize, usize>,
+    },
     /// Entries with at least [`SUCCESSOR_THRESHOLD`] successors go to
     /// `high`, which is always drained first (Section VI).
     Successor {
@@ -216,7 +226,13 @@ impl ReadyPool {
     /// Adds a ready task to the pool.
     pub fn push(&mut self, entry: ReadyEntry) {
         match &mut self.0 {
-            Pool::Fifo(queue) | Pool::Locality(queue) => queue.push_back(entry),
+            Pool::Fifo(queue) => queue.push_back(entry),
+            Pool::Locality { queue, queued } => {
+                if let Some(producer) = entry.producer_core {
+                    *queued.entry(producer).or_default() += 1;
+                }
+                queue.push_back(entry);
+            }
             Pool::Lifo(stack) => stack.push(entry),
             Pool::Successor { high, low } => {
                 if entry.num_successors >= SUCCESSOR_THRESHOLD {
@@ -235,12 +251,25 @@ impl ReadyPool {
         match &mut self.0 {
             Pool::Fifo(queue) => queue.pop_front(),
             Pool::Lifo(stack) => stack.pop(),
-            Pool::Locality(queue) => {
-                match queue.iter().position(|e| e.producer_core == Some(core)) {
-                    Some(pos) => queue.remove(pos),
-                    None => queue.pop_front(),
+            Pool::Locality { queue, queued } => match queued.get_mut(&core) {
+                Some(count) if *count > 0 => {
+                    *count -= 1;
+                    let pos = queue
+                        .iter()
+                        .position(|e| e.producer_core == Some(core))
+                        .expect("a counted producer has a queued entry");
+                    queue.remove(pos)
                 }
-            }
+                _ => {
+                    let entry = queue.pop_front()?;
+                    if let Some(producer) = entry.producer_core {
+                        *queued
+                            .get_mut(&producer)
+                            .expect("a queued entry's producer is counted") -= 1;
+                    }
+                    Some(entry)
+                }
+            },
             Pool::Successor { high, low } => high.pop_front().or_else(|| low.pop_front()),
             Pool::Age(heap) => heap.pop().map(|Reverse(Oldest(entry))| entry),
         }
@@ -249,7 +278,7 @@ impl ReadyPool {
     /// Number of tasks currently in the pool.
     pub fn len(&self) -> usize {
         match &self.0 {
-            Pool::Fifo(queue) | Pool::Locality(queue) => queue.len(),
+            Pool::Fifo(queue) | Pool::Locality { queue, .. } => queue.len(),
             Pool::Lifo(stack) => stack.len(),
             Pool::Successor { high, low } => high.len() + low.len(),
             Pool::Age(heap) => heap.len(),
@@ -264,7 +293,7 @@ impl ReadyPool {
     /// The tasks in the pool, in no particular order.
     pub(crate) fn tasks(&self) -> impl Iterator<Item = TaskRef> + '_ {
         let entries: Box<dyn Iterator<Item = &ReadyEntry>> = match &self.0 {
-            Pool::Fifo(queue) | Pool::Locality(queue) => Box::new(queue.iter()),
+            Pool::Fifo(queue) | Pool::Locality { queue, .. } => Box::new(queue.iter()),
             Pool::Lifo(stack) => Box::new(stack.iter()),
             Pool::Successor { high, low } => Box::new(high.iter().chain(low)),
             Pool::Age(heap) => Box::new(heap.iter().map(|Reverse(Oldest(entry))| entry)),
@@ -278,7 +307,7 @@ impl ReadyPool {
     /// so pools with equal contents write equal bytes.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         match &self.0 {
-            Pool::Fifo(queue) | Pool::Locality(queue) => queue.save(out),
+            Pool::Fifo(queue) | Pool::Locality { queue, .. } => queue.save(out),
             Pool::Lifo(stack) => stack.save(out),
             Pool::Successor { high, low } => {
                 high.save(out);
@@ -297,7 +326,14 @@ impl ReadyPool {
     /// the same policy, replacing whatever it held.
     pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
         match &mut self.0 {
-            Pool::Fifo(queue) | Pool::Locality(queue) => *queue = VecDeque::load(r)?,
+            Pool::Fifo(queue) => *queue = VecDeque::load(r)?,
+            Pool::Locality { queue, queued } => {
+                *queue = VecDeque::load(r)?;
+                queued.clear();
+                for producer in queue.iter().filter_map(|e| e.producer_core) {
+                    *queued.entry(producer).or_default() += 1;
+                }
+            }
             Pool::Lifo(stack) => *stack = Vec::load(r)?,
             Pool::Successor { high, low } => {
                 *high = VecDeque::load(r)?;
@@ -578,6 +614,88 @@ mod tests {
                 .collect();
             seen.sort_unstable();
             assert_eq!(seen, (0..20).collect::<Vec<_>>(), "policy {}", kind.name());
+        }
+    }
+}
+
+/// Randomized lockstep equivalence of the Locality pool against a copy of
+/// its original `pop`, which scanned the whole queue on every call.
+///
+/// CI runs this module by name:
+/// `cargo test --release -p tdm-runtime pool_lockstep`.
+#[cfg(test)]
+mod pool_lockstep {
+    use super::*;
+    use tdm_sim::rng::SplitMix64;
+
+    /// The scanning pop: the requesting core's oldest successor, else the
+    /// front of the queue.
+    fn scanning_pop(queue: &mut VecDeque<ReadyEntry>, core: usize) -> Option<ReadyEntry> {
+        match queue.iter().position(|e| e.producer_core == Some(core)) {
+            Some(pos) => queue.remove(pos),
+            None => queue.pop_front(),
+        }
+    }
+
+    #[test]
+    fn locality_pool_matches_a_scanning_pop_in_randomized_lockstep() {
+        for seed in 0..8u64 {
+            let mut rng = SplitMix64::new(seed ^ 0x10CA_1173);
+            let mut pool = SchedulerKind::Locality.build();
+            let mut reference: VecDeque<ReadyEntry> = VecDeque::new();
+            let mut peak = 0;
+            for step in 0..5000u64 {
+                // Phases of 500 steps alternate between mostly pushing and
+                // mostly popping, so the depth swings between empty and a
+                // few hundred entries.
+                let push_in_4 = if (step / 500) % 2 == 0 { 3 } else { 1 };
+                if rng.next_below(4) < push_in_4 {
+                    // Producers are cores 0..8, or none for a task ready at
+                    // creation.
+                    let producer = rng.next_below(9);
+                    let entry = ReadyEntry {
+                        task: TaskRef(step as usize),
+                        num_successors: rng.next_below(4) as u32,
+                        creation_seq: step as usize,
+                        ready_at: Cycle::new(step),
+                        producer_core: (producer < 8).then_some(producer as usize),
+                    };
+                    pool.push(entry);
+                    reference.push_back(entry);
+                } else {
+                    // Cores 8 and 9 never produce, so their pops take the
+                    // front.
+                    let core = rng.next_below(10) as usize;
+                    assert_eq!(
+                        pool.pop(core),
+                        scanning_pop(&mut reference, core),
+                        "seed {seed} step {step}"
+                    );
+                }
+                if rng.next_below(64) == 0 {
+                    let mut bytes = Vec::new();
+                    pool.save_state(&mut bytes);
+                    let mut restored = SchedulerKind::Locality.build();
+                    let mut reader = Reader::new(&bytes);
+                    restored.load_state(&mut reader).unwrap();
+                    reader.expect_end("locality pool").unwrap();
+                    pool = restored;
+                }
+                peak = peak.max(reference.len());
+                assert_eq!(pool.len(), reference.len(), "seed {seed} step {step}");
+                assert!(
+                    pool.tasks().eq(reference.iter().map(|e| e.task)),
+                    "seed {seed} step {step}"
+                );
+                let (mut bytes, mut expected) = (Vec::new(), Vec::new());
+                pool.save_state(&mut bytes);
+                reference.save(&mut expected);
+                assert_eq!(bytes, expected, "seed {seed} step {step}");
+            }
+            assert!(
+                (200..1000).contains(&peak),
+                "seed {seed}: peak depth {peak}"
+            );
         }
     }
 }

@@ -14,6 +14,8 @@
 //! were just produced here" versus "my inputs live in another core's cache or
 //! in L2/memory", which an LRU over dependence blocks captures.
 
+use std::collections::hash_map::Entry;
+
 use serde::{Deserialize, Serialize};
 
 use crate::fast_map::FastMap;
@@ -92,11 +94,15 @@ impl CoreList {
 /// Tracks, per core, which data blocks are resident in that core's private
 /// cache, with LRU replacement bounded by a byte capacity.
 ///
-/// All residencies live in one node slab. Each node is linked into its
-/// core's MRU list and into its block's holder chain, whose heads a
-/// block-keyed map holds, so touching, evicting and invalidating a block
-/// cost O(1) plus the length of the block's holder chain (at most one node
-/// per core), and a new residency reuses a freed node.
+/// All residencies live in one node slab, and a new residency reuses a
+/// freed node. Each node is linked into its core's MRU list and into its
+/// block's holder chain. Two maps index the nodes:
+///
+/// * `resident` maps each (core, block) residency to its node, so probing,
+///   touching and evicting cost one map operation per block;
+/// * `holders` maps each resident block to the head of its holder chain (at
+///   most one node per core), which only a write walks, to invalidate the
+///   block on every other core.
 ///
 /// # Example
 ///
@@ -117,9 +123,11 @@ pub struct LocalityModel {
     nodes: Vec<Node>,
     /// Head of the free-node list.
     free: u32,
-    /// Head of each resident block's holder chain. Never iterated outside
-    /// the debug check, so map order is unobservable.
+    /// Head of each resident block's holder chain. Neither map is iterated
+    /// outside the debug check, so map order is unobservable.
     holders: FastMap<BlockAddr, u32>,
+    /// The node of each (core, block) residency.
+    resident: FastMap<(u32, BlockAddr), u32>,
 }
 
 impl LocalityModel {
@@ -144,6 +152,7 @@ impl LocalityModel {
             nodes: Vec::new(),
             free: NIL,
             holders: FastMap::default(),
+            resident: FastMap::default(),
         }
     }
 
@@ -210,6 +219,7 @@ impl LocalityModel {
         self.nodes.clear();
         self.free = NIL;
         self.holders.clear();
+        self.resident.clear();
     }
 
     /// Total bytes currently tracked as resident on `core`.
@@ -234,28 +244,17 @@ impl LocalityModel {
 
     /// The node holding `addr` on `core`, if the block is resident there.
     fn find(&self, core: u32, addr: BlockAddr) -> Option<u32> {
-        let mut n = *self.holders.get(&addr)?;
-        while n != NIL {
-            let node = &self.nodes[n as usize];
-            if node.core == core {
-                return Some(n);
-            }
-            n = node.holder_next;
-        }
-        None
+        self.resident.get(&(core, addr)).copied()
     }
 
     /// Touches a block: moves it to the MRU position, inserting it if absent,
     /// and evicts LRU blocks while the capacity is exceeded.
     fn touch(&mut self, core: u32, addr: BlockAddr, size: u64) {
-        let n = match self.find(core, addr) {
-            Some(n) => {
-                self.unlink_from_core(n);
-                self.nodes[n as usize].size = size;
-                n
-            }
-            None => self.insert_holder(core, addr, size),
-        };
+        let (n, inserted) = self.resident_node(core, addr, size);
+        if !inserted {
+            self.unlink_from_core(n);
+            self.nodes[n as usize].size = size;
+        }
         self.push_mru(n);
         // A single block larger than the whole cache is allowed to stay: the
         // task streams through it and the miss cost is charged on access.
@@ -268,9 +267,14 @@ impl LocalityModel {
         }
     }
 
-    /// Allocates a node for `addr` on `core` at the head of the block's
-    /// holder chain; the caller links it into the core's list.
-    fn insert_holder(&mut self, core: u32, addr: BlockAddr, size: u64) -> u32 {
+    /// The node of `addr` on `core`, and whether it was just inserted. A
+    /// new node is indexed and sits at the head of the block's holder chain;
+    /// the caller links it into the core's list. One index probe either way.
+    fn resident_node(&mut self, core: u32, addr: BlockAddr, size: u64) -> (u32, bool) {
+        let slot = match self.resident.entry((core, addr)) {
+            Entry::Occupied(slot) => return (*slot.get(), false),
+            Entry::Vacant(slot) => slot,
+        };
         let node = Node {
             block: addr,
             size,
@@ -293,11 +297,12 @@ impl LocalityModel {
             self.nodes[n as usize] = node;
             n
         };
+        slot.insert(n);
         if let Some(head) = self.holders.insert(addr, n) {
             self.nodes[n as usize].holder_next = head;
             self.nodes[head as usize].holder_prev = n;
         }
-        n
+        (n, true)
     }
 
     /// Links node `n` at the MRU end of its core's list.
@@ -345,10 +350,12 @@ impl LocalityModel {
         self.unlink_from_core(n);
         let Node {
             block,
+            core,
             holder_prev,
             holder_next,
             ..
         } = self.nodes[n as usize];
+        self.resident.remove(&(core, block));
         if holder_next != NIL {
             self.nodes[holder_next as usize].holder_prev = holder_prev;
         }
@@ -379,8 +386,9 @@ impl LocalityModel {
 
     /// Debug-build invariant: the holder chains are exactly the transpose of
     /// the per-core lists (every listed node is chained once, under its own
-    /// block, and no core holds a block twice), each core's `len`/`bytes`
-    /// match its list, and every other node is free.
+    /// block), `resident` indexes exactly the listed nodes under their own
+    /// (core, block) keys (so no core holds a block twice), each core's
+    /// `len`/`bytes` match its list, and every other node is free.
     fn debug_check(&self) {
         #[cfg(debug_assertions)]
         {
@@ -395,6 +403,11 @@ impl LocalityModel {
                     assert_eq!(node.core as usize, core, "node {n} on another core's list");
                     assert_eq!(node.prev, prev, "broken MRU back link at node {n}");
                     assert_eq!(marks[n as usize], 0, "node {n} listed twice");
+                    assert_eq!(
+                        self.find(node.core, node.block),
+                        Some(n),
+                        "node {n} is not indexed under its core and block"
+                    );
                     marks[n as usize] = LISTED;
                     len += 1;
                     bytes += node.size;
@@ -408,10 +421,9 @@ impl LocalityModel {
                     "core {core} total drift"
                 );
             }
-            // Chain number (plus one) that last met each core, to catch a
-            // core holding one block twice.
-            let mut met = vec![0usize; self.cores.len()];
-            for (chain, (&block, &head)) in self.holders.iter().enumerate() {
+            let listed: usize = self.cores.iter().map(|list| list.len).sum();
+            assert_eq!(self.resident.len(), listed, "index holds unlisted nodes");
+            for (&block, &head) in &self.holders {
                 assert_ne!(head, NIL, "empty holder chain kept for block {block:#x}");
                 let (mut n, mut prev) = (head, NIL);
                 while n != NIL {
@@ -426,9 +438,6 @@ impl LocalityModel {
                         "chained node {n} is not listed once"
                     );
                     marks[n as usize] |= CHAINED;
-                    let core = node.core as usize;
-                    assert_ne!(met[core], chain + 1, "core {core} holds {block:#x} twice");
-                    met[core] = chain + 1;
                     prev = n;
                     n = node.holder_next;
                 }
@@ -449,8 +458,8 @@ impl LocalityModel {
 
 // Snapshot support. The observable state is the per-core MRU block list
 // (order matters: it decides eviction victims); the list totals, the node
-// slab and the holder chains are all derived, so the codec stores only
-// capacity and the lists and rebuilds the rest on load.
+// slab, the holder chains and the index are all derived, so the codec stores
+// only capacity and the lists and rebuilds the rest on load.
 impl crate::snapshot::Persist for LocalityModel {
     fn save(&self, out: &mut Vec<u8>) {
         self.capacity_bytes.save(out);
@@ -502,12 +511,12 @@ impl crate::snapshot::Persist for LocalityModel {
             }
             // Linking from the LRU end leaves the first block most recent.
             for &(addr, size) in blocks.iter().rev() {
-                if model.find(core, addr).is_some() {
+                let (n, inserted) = model.resident_node(core, addr, size);
+                if !inserted {
                     return Err(SnapshotError::Corrupt {
                         context: format!("core {core} lists block {addr:#x} twice"),
                     });
                 }
-                let n = model.insert_holder(core, addr, size);
                 model.push_mru(n);
             }
         }

@@ -1,7 +1,8 @@
 //! A fast deterministic hasher for the simulator's integer-keyed maps.
 //!
-//! The incremental engines, the streaming feed, and the locality model key
-//! their state by task index or dependence address. Task indices are dense
+//! The incremental engines, the streaming feed, the ready pool and the
+//! locality model key their state by task index, core, dependence address,
+//! or a (core, address) pair, which hashes word by word. Task indices are dense
 //! small integers, but dependence addresses are block-aligned: a 4 KB tile's
 //! base address has its low twelve bits clear, and so does any plain
 //! multiple of it. hashbrown picks a key's bucket from the *low* bits of the
@@ -26,7 +27,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// Multiplicative hasher: one wrapping multiply by the 64-bit golden-ratio
-/// constant per written word, and a rotation in [`Hasher::finish`].
+/// constant per written word (`u32`, `u64` or `usize`), and a rotation in
+/// [`Hasher::finish`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FastHasher {
     state: u64,
@@ -53,6 +55,10 @@ impl Hasher for FastHasher {
 
     fn write_u64(&mut self, value: u64) {
         self.state = (self.state.rotate_left(5) ^ value).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_u32(&mut self, value: u32) {
+        self.write_u64(u64::from(value));
     }
 
     fn write_usize(&mut self, value: usize) {
@@ -95,6 +101,27 @@ mod tests {
                 "stride {stride}: only {filled} of {BUCKETS} buckets used"
             );
         }
+    }
+
+    #[test]
+    fn core_block_pairs_spread_across_low_bit_buckets() {
+        // The locality model's (core, block) keys: 32 cores, each holding a
+        // run of 4 KB-aligned blocks, hashed as a `u32` word then a `u64`.
+        use std::hash::Hash;
+        const BUCKETS: u64 = 1024;
+        let mut used = vec![false; BUCKETS as usize];
+        for core in 0..32u32 {
+            for i in 0..4 * BUCKETS / 32 {
+                let mut hasher = FastHasher::default();
+                (core, 0x4000_0000 + i * 4096).hash(&mut hasher);
+                used[(hasher.finish() & (BUCKETS - 1)) as usize] = true;
+            }
+        }
+        let filled = used.iter().filter(|&&u| u).count();
+        assert!(
+            filled * 10 >= BUCKETS as usize * 9,
+            "only {filled} of {BUCKETS} buckets used"
+        );
     }
 
     #[test]

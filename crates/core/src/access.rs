@@ -74,6 +74,12 @@ impl fmt::Display for DmuStructure {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AccessCounter {
     counts: [u64; 8],
+    /// Sum of `counts`, kept by every `record` so that [`total`] and
+    /// [`cost`], which the DMU reads once per operation, are O(1).
+    ///
+    /// [`total`]: AccessCounter::total
+    /// [`cost`]: AccessCounter::cost
+    total: u64,
 }
 
 impl AccessCounter {
@@ -82,16 +88,16 @@ impl AccessCounter {
         Self::default()
     }
 
+    /// `structure`'s position in [`DmuStructure::ALL`], which lists the
+    /// variants in declaration order.
     fn slot(structure: DmuStructure) -> usize {
-        DmuStructure::ALL
-            .iter()
-            .position(|&s| s == structure)
-            .expect("structure is in ALL")
+        structure as usize
     }
 
     /// Records `n` accesses to `structure`.
     pub fn record(&mut self, structure: DmuStructure, n: u64) {
         self.counts[Self::slot(structure)] += n;
+        self.total += n;
     }
 
     /// Records a single access to `structure`.
@@ -106,7 +112,7 @@ impl AccessCounter {
 
     /// Total accesses across all structures.
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.total
     }
 
     /// Serializes the accesses into a cycle count, assuming every access
@@ -137,6 +143,7 @@ impl AddAssign for AccessCounter {
         for (a, b) in self.counts.iter_mut().zip(rhs.counts.iter()) {
             *a += b;
         }
+        self.total += rhs.total;
     }
 }
 
@@ -215,6 +222,24 @@ mod tests {
         assert!(s.contains("TAT: 1"));
         assert!(s.contains("SLA: 2"));
         assert!(!s.contains("DAT"));
+    }
+
+    #[test]
+    fn all_lists_structures_in_declaration_order() {
+        for (i, s) in DmuStructure::ALL.into_iter().enumerate() {
+            assert_eq!(AccessCounter::slot(s), i, "{s}");
+        }
+    }
+
+    #[test]
+    fn running_total_matches_the_per_structure_sum() {
+        let mut c = AccessCounter::new();
+        for (i, s) in DmuStructure::ALL.into_iter().enumerate() {
+            c.record(s, i as u64 + 1);
+        }
+        c += c;
+        let sum: u64 = DmuStructure::ALL.iter().map(|&s| c.get(s)).sum();
+        assert_eq!((c.total(), sum), (72, 72));
     }
 
     #[test]

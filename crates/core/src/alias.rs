@@ -117,8 +117,9 @@ impl AliasTable {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` or `ways` is zero, or if `ways` does not divide
-    /// `entries`.
+    /// Panics if `entries` or `ways` is zero, if `ways` does not divide
+    /// `entries`, or if the set count is not a power of two (the set index
+    /// is a bit field of the address).
     pub fn new(entries: usize, ways: usize, policy: IndexPolicy) -> Self {
         assert!(entries > 0, "alias table needs at least one entry");
         assert!(ways > 0, "alias table needs at least one way");
@@ -127,6 +128,10 @@ impl AliasTable {
             "entries ({entries}) must be a multiple of ways ({ways})"
         );
         let num_sets = entries / ways;
+        assert!(
+            num_sets.is_power_of_two(),
+            "the set count ({num_sets}) must be a power of two"
+        );
         AliasTable {
             addrs: vec![0; entries],
             ids: vec![0; entries],
@@ -188,7 +193,9 @@ impl AliasTable {
     /// Computes the set index for an address. `size` is the size in bytes of
     /// the object starting at `addr`; under [`IndexPolicy::Dynamic`] the
     /// index field starts at bit `log2(size)` so that consecutive blocks of
-    /// the same array map to different sets (Section III-B1).
+    /// the same array map to different sets (Section III-B1). The set count
+    /// is a power of two, so the index is the `log2(sets)` bits from there
+    /// on, taken with a mask.
     pub fn set_index(&self, addr: u64, size: u64) -> usize {
         let shift = match self.policy {
             IndexPolicy::Static { low_bit } => low_bit,
@@ -201,7 +208,7 @@ impl AliasTable {
             }
         };
         let shifted = addr >> shift.min(63);
-        (shifted as usize) % self.set_lens.len()
+        (shifted as usize) & (self.set_lens.len() - 1)
     }
 
     /// Looks up the ID bound to `addr`, if any.
@@ -331,7 +338,8 @@ impl Persist for AliasTable {
         let entries = table.addrs.len();
         if table.ways == 0
             || table.ids.len() != entries
-            || table.set_lens.len() * table.ways != entries
+            || !table.set_lens.len().is_power_of_two()
+            || table.set_lens.len().checked_mul(table.ways) != Some(entries)
             || table.free_ids.len() != entries - table.valid_entries
         {
             return Err(SnapshotError::Corrupt {
@@ -481,6 +489,35 @@ mod tests {
     #[should_panic(expected = "multiple of ways")]
     fn non_divisible_geometry_panics() {
         let _ = AliasTable::new(10, 4, IndexPolicy::Dynamic);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_set_count_panics() {
+        let _ = AliasTable::new(12, 4, IndexPolicy::Dynamic);
+    }
+
+    /// The masked index agrees with the address bits modulo the set count,
+    /// and a snapshot whose set count is not a power of two is refused.
+    #[test]
+    fn masked_index_is_the_modulo_and_load_refuses_other_set_counts() {
+        let t = AliasTable::new(64, 4, IndexPolicy::Static { low_bit: 3 });
+        for addr in (0..4096u64).map(|i| i * 0x9E37) {
+            assert_eq!(t.set_index(addr, 1), ((addr >> 3) % 16) as usize);
+        }
+        let mut bytes = Vec::new();
+        t.save(&mut bytes);
+        assert!(AliasTable::load(&mut Reader::new(&bytes)).is_ok());
+        // 12 sets of 4 ways: consistent columns, but 12 is no power of two.
+        let mut hostile = t.clone();
+        hostile.set_lens.truncate(12);
+        hostile.addrs.truncate(48);
+        hostile.ids.truncate(48);
+        hostile.free_ids = (0..48).collect();
+        let mut bytes = Vec::new();
+        hostile.save(&mut bytes);
+        let err = AliasTable::load(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
     }
 
     /// Section III-B1: with dynamic index-bit selection, consecutive 4 KB

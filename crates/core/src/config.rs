@@ -87,6 +87,16 @@ impl Default for DmuConfig {
 }
 
 impl DmuConfig {
+    /// The most entries any one structure may have: the size of every
+    /// structure of [`DmuConfig::ideal`]. [`DmuConfig::validate`] refuses
+    /// more, so a geometry decoded from a snapshot cannot demand an
+    /// allocation far beyond any the model uses.
+    pub const MAX_ENTRIES: usize = 1 << 20;
+
+    /// The most elements a list-array entry may hold (the paper's design
+    /// holds 8).
+    pub const MAX_ELEMS_PER_LIST_ENTRY: usize = 64;
+
     /// The Task Table has one entry per TAT entry (the TAT size determines
     /// the number of in-flight tasks, Section V-A).
     pub fn task_table_entries(&self) -> usize {
@@ -184,8 +194,11 @@ impl DmuConfig {
         (entries as u64).next_power_of_two().trailing_zeros().max(1)
     }
 
-    /// Validates internal consistency (non-zero sizes, associativity dividing
-    /// the entry count). Returns a human-readable description of the first
+    /// Validates internal consistency: non-zero sizes, no structure above
+    /// [`DmuConfig::MAX_ENTRIES`] entries, at most
+    /// [`DmuConfig::MAX_ELEMS_PER_LIST_ENTRY`] elements per list-array entry,
+    /// and each alias table's ways dividing its entries into a power-of-two
+    /// number of sets. Returns a human-readable description of the first
     /// problem found, if any.
     pub fn validate(&self) -> Result<(), String> {
         let positive = [
@@ -203,17 +216,45 @@ impl DmuConfig {
                 return Err(format!("{name} must be non-zero"));
             }
         }
-        if !self.tat_entries.is_multiple_of(self.tat_ways) {
+        // Ways divide their entries (below), so they are bounded too.
+        let entries = [
+            ("tat_entries", self.tat_entries),
+            ("dat_entries", self.dat_entries),
+            ("successor_la_entries", self.successor_la_entries),
+            ("dependence_la_entries", self.dependence_la_entries),
+            ("reader_la_entries", self.reader_la_entries),
+        ];
+        for (name, value) in entries {
+            if value > Self::MAX_ENTRIES {
+                return Err(format!(
+                    "{name} ({value}) must be at most {}",
+                    Self::MAX_ENTRIES
+                ));
+            }
+        }
+        if self.elems_per_list_entry > Self::MAX_ELEMS_PER_LIST_ENTRY {
             return Err(format!(
-                "tat_entries ({}) must be a multiple of tat_ways ({})",
-                self.tat_entries, self.tat_ways
+                "elems_per_list_entry ({}) must be at most {}",
+                self.elems_per_list_entry,
+                Self::MAX_ELEMS_PER_LIST_ENTRY
             ));
         }
-        if !self.dat_entries.is_multiple_of(self.dat_ways) {
-            return Err(format!(
-                "dat_entries ({}) must be a multiple of dat_ways ({})",
-                self.dat_entries, self.dat_ways
-            ));
+        let alias_tables = [
+            ("tat", self.tat_entries, self.tat_ways),
+            ("dat", self.dat_entries, self.dat_ways),
+        ];
+        for (table, entries, ways) in alias_tables {
+            if !entries.is_multiple_of(ways) {
+                return Err(format!(
+                    "{table}_entries ({entries}) must be a multiple of {table}_ways ({ways})"
+                ));
+            }
+            if !(entries / ways).is_power_of_two() {
+                return Err(format!(
+                    "{table}_entries / {table}_ways ({entries} / {ways}) must be a power of \
+                     two: the set index is a bit field of the address"
+                ));
+            }
         }
         Ok(())
     }
@@ -356,6 +397,44 @@ mod tests {
             ..DmuConfig::default()
         };
         assert!(c.validate().unwrap_err().contains("multiple"));
+    }
+
+    #[test]
+    fn validate_rejects_non_power_of_two_set_counts() {
+        let c = DmuConfig {
+            dat_entries: 96,
+            dat_ways: 8,
+            ..DmuConfig::default()
+        };
+        assert!(c.validate().unwrap_err().contains("power of two"));
+    }
+
+    /// A flipped high bit of `tat_entries` must not reach an allocation:
+    /// `validate` refuses it, and so does decoding it. Neither builds a
+    /// table.
+    #[test]
+    fn validate_and_load_refuse_geometries_above_the_cap() {
+        let huge = DmuConfig {
+            tat_entries: 1 << 40,
+            ..DmuConfig::default()
+        };
+        assert!(huge.validate().unwrap_err().contains("at most"));
+        let mut bytes = Vec::new();
+        huge.save(&mut bytes);
+        let err = DmuConfig::load(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("tat_entries"), "{err}");
+
+        let wide = DmuConfig {
+            elems_per_list_entry: DmuConfig::MAX_ELEMS_PER_LIST_ENTRY + 1,
+            ..DmuConfig::default()
+        };
+        assert!(wide.validate().is_err());
+        let at_cap = DmuConfig {
+            elems_per_list_entry: DmuConfig::MAX_ELEMS_PER_LIST_ENTRY,
+            ..DmuConfig::ideal()
+        };
+        assert!(at_cap.validate().is_ok());
     }
 
     #[test]

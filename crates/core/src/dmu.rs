@@ -276,10 +276,19 @@ impl Dmu {
     }
 
     fn task_id(&self, desc: DescriptorAddr) -> Result<TaskId, DmuError> {
-        self.tat
-            .lookup(desc.raw(), 64)
-            .map(TaskId::new)
-            .ok_or(DmuError::UnknownTask(desc))
+        self.lookup_task(desc).ok_or(DmuError::UnknownTask(desc))
+    }
+
+    /// The task ID the TAT binds to `desc`, if `desc` is in flight. A host
+    /// query, not a TDM instruction: it counts no modeled access. A runtime
+    /// restoring its own task → ID map from a snapshot uses it.
+    pub fn lookup_task(&self, desc: DescriptorAddr) -> Option<TaskId> {
+        self.tat.lookup(desc.raw(), 64).map(TaskId::new)
+    }
+
+    /// Number of in-flight tasks: created and not yet finished.
+    pub fn live_tasks(&self) -> usize {
+        self.tat.len()
     }
 
     /// Appends a task to the Ready Queue. A task enters it once and only
@@ -346,21 +355,22 @@ impl Dmu {
         Ok(DmuResult::new(id, accesses))
     }
 
-    /// Looks up (or allocates) the Dependence Table entry for `addr`.
+    /// The Dependence Table entry for `addr`: `existing`, the DAT lookup's
+    /// answer, or a newly allocated entry. The modeled DAT access is counted
+    /// here either way; the caller made the one actual probe.
     fn dep_id_for(
         &mut self,
+        existing: Option<DepId>,
         addr: DepAddr,
         size: u64,
         accesses: &mut AccessCounter,
     ) -> Result<DepId, DmuError> {
         accesses.touch(DmuStructure::Dat);
-        if let Some(raw) = self.dat.lookup(addr.raw(), size) {
-            return Ok(DepId::new(raw));
+        if let Some(id) = existing {
+            return Ok(id);
         }
-        // A new dependence needs a DAT entry and a reader list.
-        if self.rla.free_entries() < 1 {
-            return Err(self.stall(StallReason::ReaderLaFull));
-        }
+        // A new dependence needs a DAT entry and a reader list; the caller
+        // pre-checked the reader list's space.
         let raw = match self.dat.insert(addr.raw(), size) {
             Ok(raw) => raw,
             Err(AliasError::SetConflict) => return Err(self.stall(StallReason::DatConflict)),
@@ -468,17 +478,8 @@ impl Dmu {
         self.add_dependence_resolved(task, addr, size, dir)
     }
 
-    /// Batched Algorithm 1: resolves `desc` through the TAT once (actual
-    /// work), then applies each dependence in order exactly as per-op
-    /// [`Dmu::add_dependence`] calls would, appending one per-op
-    /// [`AccessCounter`] to `completed` for every dependence that succeeds.
-    ///
-    /// On a stall the error is returned immediately; the dependences already
-    /// applied stay applied (each completed atomically), so a caller resumes
-    /// by retrying from index `completed.len()` — byte-identical to the
-    /// per-op stall-and-retry protocol. The modeled accesses, including the
-    /// per-dependence TAT probe, are unchanged; only the *actual* repeated
-    /// TAT hash lookups are amortized.
+    /// Batched Algorithm 1: resolves `desc` through the TAT once, then
+    /// applies its dependences as [`Dmu::add_dependences_by_id`] does.
     ///
     /// # Errors
     ///
@@ -493,6 +494,38 @@ impl Dmu {
         I: IntoIterator<Item = (DepAddr, u64, DepDirection)>,
     {
         let task = self.task_id(desc)?;
+        self.add_dependences_by_id(task, deps, completed)
+    }
+
+    /// Batched Algorithm 1 for the task ID that [`Dmu::create_task`]
+    /// returned: applies each dependence in order exactly as per-op
+    /// [`Dmu::add_dependence`] calls would, appending one per-op
+    /// [`AccessCounter`] to `completed` for every dependence that succeeds.
+    ///
+    /// On a stall the error is returned immediately; the dependences already
+    /// applied stay applied (each completed atomically), so a caller resumes
+    /// by retrying from index `completed.len()` — byte-identical to the
+    /// per-op stall-and-retry protocol. The modeled accesses, including the
+    /// per-dependence TAT probe, are unchanged; the caller that holds the ID
+    /// only skips the *actual* TAT lookups.
+    ///
+    /// # Errors
+    ///
+    /// [`DmuError::Stall`] if the DAT or a list array lacks space for the
+    /// next dependence (that dependence modifies no state).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` is not an in-flight task.
+    pub fn add_dependences_by_id<I>(
+        &mut self,
+        task: TaskId,
+        deps: I,
+        completed: &mut Vec<AccessCounter>,
+    ) -> Result<(), DmuError>
+    where
+        I: IntoIterator<Item = (DepAddr, u64, DepDirection)>,
+    {
         for (addr, size, dir) in deps {
             let result = self.add_dependence_resolved(task, addr, size, dir)?;
             completed.push(result.accesses);
@@ -501,8 +534,8 @@ impl Dmu {
     }
 
     /// The body of Algorithm 1 once the task ID is known. The access counter
-    /// still charges the modeled TAT probe for the descriptor; hoisting the
-    /// *actual* lookup is what [`Dmu::add_dependences`] amortizes.
+    /// still charges the modeled TAT probe for the descriptor, and the one
+    /// DAT lookup here serves both the stall pre-check and the operation.
     fn add_dependence_resolved(
         &mut self,
         task: TaskId,
@@ -535,7 +568,7 @@ impl Dmu {
             return Err(self.stall(StallReason::ReaderLaFull));
         }
 
-        let dep = self.dep_id_for(addr, size, &mut accesses)?;
+        let dep = self.dep_id_for(existing, addr, size, &mut accesses)?;
 
         // Insert depID in the dependence list of taskID.
         let dep_list = self.tasks.row(task).dependence_list;
@@ -597,9 +630,19 @@ impl Dmu {
     ///
     /// Returns [`DmuError::UnknownTask`] if `desc` was never created.
     pub fn submit_task(&mut self, desc: DescriptorAddr) -> Result<DmuResult<bool>, DmuError> {
+        let task = self.task_id(desc)?;
+        Ok(self.submit_task_by_id(task))
+    }
+
+    /// [`Dmu::submit_task`] for the task ID that [`Dmu::create_task`]
+    /// returned. The modeled TAT access is still counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` is not an in-flight task.
+    pub fn submit_task_by_id(&mut self, task: TaskId) -> DmuResult<bool> {
         let mut accesses = AccessCounter::new();
         accesses.touch(DmuStructure::Tat);
-        let task = self.task_id(desc)?;
         let row = self.tasks.row_mut(task);
         row.under_construction = false;
         let ready_now = row.num_predecessors == 0;
@@ -610,7 +653,7 @@ impl Dmu {
         }
         self.stats.submits += 1;
         self.stats.total_accesses += accesses.total();
-        Ok(DmuResult::new(ready_now, accesses))
+        DmuResult::new(ready_now, accesses)
     }
 
     /// `finish_task(task_desc)`: Algorithm 2.
@@ -620,8 +663,8 @@ impl Dmu {
     /// the task held. Returns the tasks that became ready.
     ///
     /// This convenience wrapper allocates the woken list; the execution
-    /// driver's hot path uses [`Dmu::finish_task_into`] with a reusable
-    /// buffer instead.
+    /// driver's hot path uses [`Dmu::finish_task_into_by_id`] with a
+    /// reusable buffer instead.
     ///
     /// # Errors
     ///
@@ -637,9 +680,7 @@ impl Dmu {
 
     /// Allocation-free variant of [`Dmu::finish_task`]: `woken` is cleared
     /// and filled with the tasks that became ready, so callers can reuse one
-    /// buffer across every finish of a run. The successor, dependence and
-    /// reader lists are walked in place (no intermediate `collect()`), with
-    /// access accounting identical to the allocating path.
+    /// buffer across every finish of a run.
     ///
     /// # Errors
     ///
@@ -649,11 +690,28 @@ impl Dmu {
         desc: DescriptorAddr,
         woken: &mut Vec<TaskId>,
     ) -> Result<DmuResult<()>, DmuError> {
+        let task = self.task_id(desc)?;
+        Ok(self.finish_task_into_by_id(task, woken))
+    }
+
+    /// [`Dmu::finish_task_into`] for the task ID that [`Dmu::create_task`]
+    /// returned. The successor, dependence and reader lists are walked in
+    /// place (no intermediate `collect()`), and the modeled TAT accesses are
+    /// still counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` is not an in-flight task.
+    pub fn finish_task_into_by_id(
+        &mut self,
+        task: TaskId,
+        woken: &mut Vec<TaskId>,
+    ) -> DmuResult<()> {
         woken.clear();
         let mut accesses = AccessCounter::new();
         accesses.touch(DmuStructure::Tat);
-        let task = self.task_id(desc)?;
         let TaskEntry {
+            descriptor,
             successor_list,
             dependence_list,
             ..
@@ -719,12 +777,12 @@ impl Dmu {
         accesses.record(DmuStructure::DependenceLa, walk.entries_touched);
         self.tasks.remove(task);
         accesses.touch(DmuStructure::TaskTable);
-        self.tat.remove(desc.raw(), 64);
+        self.tat.remove(descriptor.raw(), 64);
         accesses.touch(DmuStructure::Tat);
 
         self.stats.finishes += 1;
         self.stats.total_accesses += accesses.total();
-        Ok(DmuResult::new((), accesses))
+        DmuResult::new((), accesses)
     }
 
     /// `get_ready_task()`: pops the oldest ready task, returning its

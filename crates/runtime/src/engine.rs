@@ -43,6 +43,7 @@ use tdm_sim::snapshot::{Persist, Reader, SnapshotError};
 
 use crate::cost::CostModel;
 use crate::fast_map::FastMap;
+use crate::in_flight::InFlight;
 use crate::task::{TaskRef, TaskSpec};
 
 /// Base address used to synthesize task-descriptor addresses. Descriptors are
@@ -189,72 +190,6 @@ struct LiveTask {
     successors: Vec<TaskRef>,
 }
 
-/// Dense storage for created-but-unfinished tasks, keyed by the in-flight
-/// index span.
-///
-/// Tasks are created in program order and looked up heavily during
-/// dependence matching — once per last-writer hit and once per element of a
-/// reader list. On heavy fan-out workloads (streamcluster's fork-join
-/// phases) those reader-list probes dominated the software engine's host
-/// time when they went through a hash map. Live tasks always occupy the
-/// contiguous index range `[oldest unfinished, next created)`, so a deque of
-/// slots indexed by `task_index - base` turns every probe into an array
-/// access; the span is trimmed from the front as the oldest tasks finish.
-///
-/// The span can exceed the in-flight *count* when an old task lingers
-/// unfinished while later tasks stream past it (a finished task inside the
-/// span costs one empty slot until the span front catches up); every
-/// Table II policy drains oldest-first in practice, keeping the two within
-/// the same order of magnitude.
-#[derive(Debug, Clone, Default)]
-struct LiveSlab {
-    /// Task index of `slots[0]`.
-    base: usize,
-    /// One slot per task in `base..base + slots.len()`; `None` = finished.
-    slots: std::collections::VecDeque<Option<LiveTask>>,
-    /// Number of occupied slots.
-    occupied: usize,
-}
-
-impl LiveSlab {
-    fn get_mut(&mut self, index: usize) -> Option<&mut LiveTask> {
-        self.slots.get_mut(index.checked_sub(self.base)?)?.as_mut()
-    }
-
-    /// Appends the state of a newly created task. Creation happens in
-    /// program order, so the new index always extends the span at the back.
-    fn push(&mut self, index: usize, live: LiveTask) {
-        assert_eq!(
-            index,
-            self.base + self.slots.len(),
-            "task {index} created out of program order"
-        );
-        self.slots.push_back(Some(live));
-        self.occupied += 1;
-    }
-
-    /// Removes and returns `index`'s state, trimming finished slots from the
-    /// front of the span.
-    fn remove(&mut self, index: usize) -> Option<LiveTask> {
-        let slot = index.checked_sub(self.base)?;
-        let live = self.slots.get_mut(slot)?.take();
-        if live.is_some() {
-            self.occupied -= 1;
-            while matches!(self.slots.front(), Some(None)) {
-                self.slots.pop_front();
-                self.base += 1;
-            }
-        }
-        live
-    }
-
-    /// Number of created-but-unfinished tasks (leak accounting in tests).
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.occupied
-    }
-}
-
 /// Software dependence tracking: the runtime system matches dependences and
 /// maintains the TDG in memory, paying the software costs of
 /// [`CostModel::sw_creation_cost`] / [`CostModel::sw_finish_cost`].
@@ -266,16 +201,18 @@ impl LiveSlab {
 /// satisfied immediately (they cost the same matching work but add no
 /// pending count), and per-task state is dropped at finish, so memory scales
 /// with in-flight tasks plus distinct addresses — like the hash-map-based
-/// tracker of a real runtime. Per-task state lives in a dense slab keyed by
-/// the in-flight index span (`LiveSlab`), so the reader-list probes of
-/// fan-out workloads are array accesses rather than hash lookups.
+/// tracker of a real runtime. Per-task state is keyed by the in-flight index
+/// span (`InFlight`), so the reader-list probes that dominate fan-out
+/// workloads (streamcluster's fork-join phases) are array accesses rather
+/// than hash lookups.
 #[derive(Debug, Clone)]
 pub struct SoftwareEngine {
     name: &'static str,
     cost: CostModel,
     addr_state: FastMap<u64, AddrState>,
-    live: LiveSlab,
-    next_create: usize,
+    /// Created-but-unfinished tasks; the span ends at the next task to
+    /// create.
+    live: InFlight<LiveTask>,
 }
 
 impl SoftwareEngine {
@@ -291,8 +228,7 @@ impl SoftwareEngine {
             name,
             cost,
             addr_state: FastMap::default(),
-            live: LiveSlab::default(),
-            next_create: 0,
+            live: InFlight::default(),
         }
     }
 
@@ -334,8 +270,7 @@ impl DependenceEngine for SoftwareEngine {
         ready: &mut Vec<ReadyInfo>,
     ) -> CreationOutcome {
         let i = task.index();
-        assert_eq!(i, self.next_create, "{task} created out of program order");
-        self.next_create += 1;
+        assert_eq!(i, self.live.end(), "{task} created out of program order");
 
         // Match this task's dependences against the address map, mirroring
         // TaskGraph::build edge for edge. `edge_work` counts the matching
@@ -414,8 +349,8 @@ impl DependenceEngine for SoftwareEngine {
     }
 
     // Snapshot support. The address map is canonicalized to a key-sorted list
-    // (map iteration order is unobservable — see `fast_map`); the live slab
-    // and its window position are written verbatim.
+    // (map iteration order is unobservable — see `fast_map`); the live span
+    // is written verbatim, then the next task to create (its end).
     fn save_state(&self, out: &mut Vec<u8>) {
         let mut addrs: Vec<(&u64, &AddrState)> = self.addr_state.iter().collect();
         addrs.sort_unstable_by_key(|(addr, _)| **addr);
@@ -425,10 +360,8 @@ impl DependenceEngine for SoftwareEngine {
             state.last_writer.save(out);
             state.readers.save(out);
         }
-        self.live.base.save(out);
-        self.live.slots.save(out);
-        self.live.occupied.save(out);
-        self.next_create.save(out);
+        self.live.save(out);
+        self.live.end().save(out);
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
@@ -441,66 +374,49 @@ impl DependenceEngine for SoftwareEngine {
                 });
             }
         }
-        let base = usize::load(r)?;
-        let slots: std::collections::VecDeque<Option<LiveTask>> =
-            std::collections::VecDeque::load(r)?;
-        let occupied = usize::load(r)?;
+        let live: InFlight<LiveTask> = InFlight::load(r)?;
         let next_create = usize::load(r)?;
-        if slots.iter().filter(|s| s.is_some()).count() != occupied
-            || base.checked_add(slots.len()) != Some(next_create)
-        {
+        if live.end() != next_create {
             return Err(SnapshotError::Corrupt {
                 context: format!(
-                    "software live slab inconsistent: base {base}, {} slots, \
-                     {occupied} occupied, next task {next_create}",
-                    slots.len()
+                    "software live span ends at task#{}, but the next task created is \
+                     task#{next_create}",
+                    live.end()
                 ),
             });
         }
         // `finish_one` relies on two more invariants: every registered
         // successor is a live task created later, and each live task waits
         // on as many predecessor edges as the live successor lists name it.
-        let mut named = vec![0u64; slots.len()];
-        for (slot, live) in slots.iter().enumerate() {
-            for &succ in live.iter().flat_map(|live| &live.successors) {
-                match succ.index().checked_sub(base) {
-                    Some(s) if s > slot && slots.get(s).is_some_and(Option::is_some) => {
-                        named[s] += 1;
-                    }
+        let mut named = live.map(|_| 0u64);
+        for (index, task) in live.iter() {
+            for &succ in &task.successors {
+                match named.get_mut(succ.index()) {
+                    Some(count) if succ.index() > index => *count += 1,
                     _ => {
                         return Err(SnapshotError::Corrupt {
                             context: format!(
-                                "software task#{} lists successor {succ}, which is not \
-                                 a live task created after it",
-                                base + slot
+                                "software task#{index} lists successor {succ}, which is not \
+                                 a live task created after it"
                             ),
                         })
                     }
                 }
             }
         }
-        for (slot, live) in slots.iter().enumerate() {
-            if let Some(live) = live {
-                if u64::from(live.pending_predecessors) != named[slot] {
-                    return Err(SnapshotError::Corrupt {
-                        context: format!(
-                            "software task#{} waits on {} predecessors, but {} live \
-                             successor lists name it",
-                            base + slot,
-                            live.pending_predecessors,
-                            named[slot]
-                        ),
-                    });
-                }
+        for ((index, task), (_, &count)) in live.iter().zip(named.iter()) {
+            if u64::from(task.pending_predecessors) != count {
+                return Err(SnapshotError::Corrupt {
+                    context: format!(
+                        "software task#{index} waits on {} predecessors, but {count} live \
+                         successor lists name it",
+                        task.pending_predecessors
+                    ),
+                });
             }
         }
         self.addr_state = addr_state;
-        self.live = LiveSlab {
-            base,
-            slots,
-            occupied,
-        };
-        self.next_create = next_create;
+        self.live = live;
         Ok(())
     }
 }
@@ -554,12 +470,29 @@ pub enum HardwareFlavor {
     TaskSuperscalar,
 }
 
+/// The descriptor of an in-flight hardware-tracked task: its slot in the
+/// descriptor allocator, and the task ID the DMU's `create_task` returned
+/// (`None` until that instruction completes).
+#[derive(Debug, Clone, Copy)]
+struct Descriptor {
+    slot: u64,
+    id: Option<TaskId>,
+}
+
+/// The task-descriptor address of descriptor slot `slot`.
+fn descriptor_addr(slot: u64) -> DescriptorAddr {
+    DescriptorAddr(DESCRIPTOR_BASE + slot * DESCRIPTOR_STRIDE)
+}
+
 /// Hardware dependence tracking backed by a cycle-costed [`Dmu`] model.
 ///
 /// The engine holds no per-workload state: task specs arrive one at a time
 /// through `create_task` and the only memory that scales with the run is the
-/// descriptor-slot map for *in-flight* tasks (plus the fixed-capacity DMU
-/// itself), so arbitrarily long task streams run in bounded space.
+/// descriptor of each *in-flight* task (plus the fixed-capacity DMU itself),
+/// so arbitrarily long task streams run in bounded space. The descriptors
+/// are kept over the in-flight index span (`InFlight`) with the task ID
+/// the DMU returned, so every instruction after `create_task` is issued by
+/// ID: the engine resolves no descriptor through a hash map or the TAT.
 #[derive(Debug, Clone)]
 pub struct HardwareEngine {
     flavor: HardwareFlavor,
@@ -577,14 +510,14 @@ pub struct HardwareEngine {
     /// behaviour realistic for long runs.
     free_slots: Vec<u64>,
     next_slot: u64,
-    /// Slot currently assigned to each in-flight task (by task index).
-    task_slot: FastMap<usize, u64>,
+    /// Descriptor of each in-flight task, by task index.
+    descriptors: InFlight<Descriptor>,
     /// Task owning each slot (bounded by peak in-flight tasks).
     slot_owner: Vec<usize>,
-    /// Reusable scratch buffer for `Dmu::finish_task_into` woken lists.
+    /// Reusable scratch buffer for the DMU's woken lists.
     woken_buf: Vec<TaskId>,
     /// Reusable scratch for the per-dependence access counters returned by
-    /// the batched `Dmu::add_dependences`.
+    /// the batched `Dmu::add_dependences_by_id`.
     dep_counters: Vec<tdm_core::access::AccessCounter>,
 }
 
@@ -607,33 +540,28 @@ impl HardwareEngine {
             instructions: 0,
             free_slots: Vec::new(),
             next_slot: 0,
-            task_slot: FastMap::default(),
+            descriptors: InFlight::default(),
             slot_owner: Vec::new(),
             woken_buf: Vec::new(),
             dep_counters: Vec::new(),
         }
     }
 
-    /// Returns the descriptor address of `task`, allocating a descriptor slot
-    /// the first time it is asked for during creation.
-    fn descriptor(&mut self, task: TaskRef) -> DescriptorAddr {
-        let slot = match self.task_slot.get(&task.index()) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.free_slots.pop().unwrap_or_else(|| {
-                    let s = self.next_slot;
-                    self.next_slot += 1;
-                    s
-                });
-                self.task_slot.insert(task.index(), slot);
-                if self.slot_owner.len() <= slot as usize {
-                    self.slot_owner.resize(slot as usize + 1, usize::MAX);
-                }
-                self.slot_owner[slot as usize] = task.index();
-                slot
-            }
-        };
-        DescriptorAddr(DESCRIPTOR_BASE + slot * DESCRIPTOR_STRIDE)
+    /// Allocates a descriptor slot for `task`, the next task in program
+    /// order, and returns it.
+    fn allocate_descriptor(&mut self, task: TaskRef) -> u64 {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            let s = self.next_slot;
+            self.next_slot += 1;
+            s
+        });
+        self.descriptors
+            .push(task.index(), Descriptor { slot, id: None });
+        if self.slot_owner.len() <= slot as usize {
+            self.slot_owner.resize(slot as usize + 1, usize::MAX);
+        }
+        self.slot_owner[slot as usize] = task.index();
+        slot
     }
 
     /// Reverse-maps a descriptor address handed back by the DMU to its task.
@@ -642,11 +570,18 @@ impl HardwareEngine {
         TaskRef(self.slot_owner[slot])
     }
 
-    /// Releases the descriptor slot of a finished task.
-    fn release_descriptor(&mut self, task: TaskRef) {
-        if let Some(slot) = self.task_slot.remove(&task.index()) {
-            self.free_slots.push(slot);
-        }
+    /// Issues `task`'s `finish_task` at `now` and releases its descriptor
+    /// slot, returning the cycles the finishing core spent so far; the
+    /// caller drains the Ready Queue after it.
+    fn finish_on_dmu(&mut self, now: Cycle, task: TaskRef, woken: &mut Vec<TaskId>) -> Cycle {
+        let Descriptor { slot, id } = self
+            .descriptors
+            .remove(task.index())
+            .unwrap_or_else(|| panic!("{task} finished before being created, or twice"));
+        let id = id.unwrap_or_else(|| panic!("{task} finished before the DMU created it"));
+        let result = self.dmu.finish_task_into_by_id(id, woken);
+        self.free_slots.push(slot);
+        self.charge_instruction(now, result.cost(self.dmu.access_latency()))
     }
 
     /// Charges one TDM instruction issued at local time `at`: issue overhead,
@@ -719,32 +654,43 @@ impl DependenceEngine for HardwareEngine {
         spec: &TaskSpec,
         ready: &mut Vec<ReadyInfo>,
     ) -> CreationOutcome {
-        let desc = self.descriptor(task);
         let latency = self.dmu.access_latency();
         let mut cost = Cycle::ZERO;
 
-        let mut pending = match self.pending.take() {
+        let (mut pending, descriptor) = match self.pending.take() {
             Some(p) => {
                 assert_eq!(p.task, task, "resumed creation of a different task");
-                p
+                let descriptor = self
+                    .descriptors
+                    .get(task.index())
+                    .expect("a stalled creation keeps its descriptor");
+                (p, *descriptor)
             }
             None => {
                 // Descriptor allocation happens in software before the first
                 // TDM instruction.
                 cost += self.alloc_cost();
-                PendingCreation {
+                let slot = self.allocate_descriptor(task);
+                let pending = PendingCreation {
                     task,
                     created: false,
                     next_dep: 0,
-                }
+                };
+                (pending, Descriptor { slot, id: None })
             }
         };
 
-        if !pending.created {
-            match self.dmu.create_task(desc) {
+        let id = match descriptor.id {
+            Some(id) => id,
+            None => match self.dmu.create_task(descriptor_addr(descriptor.slot)) {
                 Ok(r) => {
                     cost += self.charge_instruction(now + cost, r.cost(latency));
                     pending.created = true;
+                    self.descriptors
+                        .get_mut(task.index())
+                        .expect("the task being created holds a descriptor")
+                        .id = Some(r.value);
+                    r.value
                 }
                 Err(DmuError::Stall(_)) => {
                     cost += self.charge_stalled_attempt(now + cost);
@@ -756,23 +702,22 @@ impl DependenceEngine for HardwareEngine {
                     };
                 }
                 Err(e) => panic!("unexpected DMU error during create: {e}"),
-            }
-        }
+            },
+        };
 
         if pending.next_dep < spec.deps.len() {
-            // Hand the DMU the whole remaining dependence batch: the task ID
-            // is resolved through the TAT once, and each applied dependence
-            // returns its per-op access counter. Charges replay in op order
-            // below; `charge_instruction` depends only on its own
-            // (time, processing) sequence, never on DMU table state, so
-            // charging after the batch applied is arithmetic-identical to
+            // Hand the DMU the whole remaining dependence batch, and each
+            // applied dependence returns its per-op access counter. Charges
+            // replay in op order below; `charge_instruction` depends only on
+            // its own (time, processing) sequence, never on DMU table state,
+            // so charging after the batch applied is arithmetic-identical to
             // charging between per-op `add_dependence` calls.
             let mut counters = std::mem::take(&mut self.dep_counters);
             counters.clear();
             let remaining = spec.deps[pending.next_dep..]
                 .iter()
                 .map(|dep| (DepAddr(dep.addr), dep.size, dep.direction));
-            let outcome = self.dmu.add_dependences(desc, remaining, &mut counters);
+            let outcome = self.dmu.add_dependences_by_id(id, remaining, &mut counters);
             for counter in &counters {
                 cost += self.charge_instruction(now + cost, counter.cost(latency));
             }
@@ -796,10 +741,7 @@ impl DependenceEngine for HardwareEngine {
             }
         }
 
-        let submit = self
-            .dmu
-            .submit_task(desc)
-            .expect("submit of a created task cannot fail");
+        let submit = self.dmu.submit_task_by_id(id);
         cost += self.charge_instruction(now + cost, submit.cost(latency));
 
         self.drain_ready(now + cost, &mut cost, ready);
@@ -820,17 +762,10 @@ impl DependenceEngine for HardwareEngine {
         ready: &mut Vec<ReadyInfo>,
         spans: &mut Vec<(usize, usize)>,
     ) {
-        let latency = self.dmu.access_latency();
         let mut woken = std::mem::take(&mut self.woken_buf);
         for &(task, _core) in finishes {
             let start = ready.len();
-            let desc = self.descriptor(task);
-            let result = self
-                .dmu
-                .finish_task_into(desc, &mut woken)
-                .expect("finishing an in-flight task cannot fail");
-            let mut cost = self.charge_instruction(now, result.cost(latency));
-            self.release_descriptor(task);
+            let mut cost = self.finish_on_dmu(now, task, &mut woken);
             self.drain_ready(now + cost, &mut cost, ready);
             costs.push(cost);
             spans.push((start, ready.len()));
@@ -852,11 +787,12 @@ impl DependenceEngine for HardwareEngine {
     // ready queue, counters); around it go the engine's timing state, the
     // interrupted-creation resume point and the descriptor-slot allocator.
     // The free-slot stack is written verbatim (it is popped LIFO, so its
-    // order is observable through TAT set indices); the task→slot map is
-    // canonicalized by task index. `woken_buf`/`dep_counters` are
-    // per-operation scratch, empty between operations, and are not saved.
-    // The section opens with a retired byte, always `false`: it recorded the
-    // per-operation DMU mode, which is gone.
+    // order is observable through TAT set indices); the descriptors are
+    // written as the span of their slots, and load derives each task ID from
+    // the TAT. `woken_buf`/`dep_counters` are per-operation scratch, empty
+    // between operations, and are not saved. The section opens with a
+    // retired byte, always `false`: it recorded the per-operation DMU mode,
+    // which is gone.
     fn save_state(&self, out: &mut Vec<u8>) {
         false.save(out);
         self.dmu.save(out);
@@ -866,9 +802,7 @@ impl DependenceEngine for HardwareEngine {
         self.instructions.save(out);
         self.free_slots.save(out);
         self.next_slot.save(out);
-        let mut slots: Vec<(usize, u64)> = self.task_slot.iter().map(|(&t, &s)| (t, s)).collect();
-        slots.sort_unstable();
-        slots.save(out);
+        self.descriptors.map(|d| d.slot).save(out);
         self.slot_owner.save(out);
     }
 
@@ -885,16 +819,10 @@ impl DependenceEngine for HardwareEngine {
         let instructions = u64::load(r)?;
         let free_slots: Vec<u64> = Vec::load(r)?;
         let next_slot = u64::load(r)?;
-        let slots: Vec<(usize, u64)> = Vec::load(r)?;
+        let slots: InFlight<u64> = InFlight::load(r)?;
         let slot_owner: Vec<usize> = Vec::load(r)?;
-        let mut task_slot = FastMap::default();
-        for (task, slot) in slots {
-            if slot >= next_slot || task_slot.insert(task, slot).is_some() {
-                return Err(SnapshotError::Corrupt {
-                    context: format!("descriptor slot map entry ({task}, {slot}) is invalid"),
-                });
-            }
-        }
+        let descriptors =
+            restore_descriptors(&dmu, pending, &free_slots, next_slot, &slots, &slot_owner)?;
         self.dmu = dmu;
         self.dmu_free_at = dmu_free_at;
         self.pending = pending;
@@ -902,10 +830,103 @@ impl DependenceEngine for HardwareEngine {
         self.instructions = instructions;
         self.free_slots = free_slots;
         self.next_slot = next_slot;
-        self.task_slot = task_slot;
+        self.descriptors = descriptors;
         self.slot_owner = slot_owner;
         Ok(())
     }
+}
+
+/// How a restored descriptor slot is used.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotUse {
+    Unseen,
+    Free,
+    Mapped,
+}
+
+/// Rebuilds the in-flight descriptors from a snapshot's slot span, deriving
+/// each task ID from the TAT, and refuses a span that the allocator or the
+/// DMU contradicts:
+/// - every slot below `next_slot` is free or mapped, and only once;
+/// - a mapped slot's recorded owner is its task;
+/// - a mapped slot's descriptor is live in the TAT, except for the stalled
+///   creation whose `create_task` has not completed, and no other;
+/// - every live TAT task is named by a mapped slot;
+/// - a stalled creation's task is the newest task of the span.
+fn restore_descriptors(
+    dmu: &Dmu,
+    pending: Option<PendingCreation>,
+    free_slots: &[u64],
+    next_slot: u64,
+    slots: &InFlight<u64>,
+    slot_owner: &[usize],
+) -> Result<InFlight<Descriptor>, SnapshotError> {
+    let corrupt = |context: String| SnapshotError::Corrupt { context };
+    if slot_owner.len() as u64 != next_slot {
+        return Err(corrupt(format!(
+            "the descriptor allocator handed out {next_slot} slots but records owners for {}",
+            slot_owner.len()
+        )));
+    }
+    let mut uses = vec![SlotUse::Unseen; slot_owner.len()];
+    for &slot in free_slots {
+        match usize::try_from(slot).ok().and_then(|s| uses.get_mut(s)) {
+            Some(used @ SlotUse::Unseen) => *used = SlotUse::Free,
+            Some(_) => return Err(corrupt(format!("descriptor slot {slot} is free twice"))),
+            None => {
+                return Err(corrupt(format!(
+                    "free descriptor slot {slot} is at or past the {next_slot} slots handed out"
+                )))
+            }
+        }
+    }
+    let uncreated = pending.filter(|p| !p.created).map(|p| p.task);
+    let descriptors = slots.try_map(|index, &slot| {
+        let task = TaskRef(index);
+        let problem = match usize::try_from(slot).ok().and_then(|s| uses.get_mut(s)) {
+            None => format!("at or past the {next_slot} slots handed out"),
+            Some(SlotUse::Free) => "which is also free".to_string(),
+            Some(SlotUse::Mapped) => "which another task maps too".to_string(),
+            Some(used) => {
+                *used = SlotUse::Mapped;
+                let owner = slot_owner[slot as usize];
+                let id = dmu.lookup_task(descriptor_addr(slot));
+                match (id, uncreated == Some(task)) {
+                    _ if owner != index => format!("whose recorded owner is task#{owner}"),
+                    (None, false) => "whose descriptor is not live in the TAT".to_string(),
+                    (Some(_), true) => "whose descriptor is live in the TAT, though its creation \
+                         has not reached the DMU"
+                        .to_string(),
+                    _ => return Ok(Descriptor { slot, id }),
+                }
+            }
+        };
+        Err(corrupt(format!(
+            "{task} maps descriptor slot {slot}, {problem}"
+        )))
+    })?;
+    if let Some(slot) = uses.iter().position(|&used| used == SlotUse::Unseen) {
+        return Err(corrupt(format!(
+            "descriptor slot {slot} is neither free nor mapped"
+        )));
+    }
+    let named = descriptors.iter().filter(|(_, d)| d.id.is_some()).count();
+    if named != dmu.live_tasks() {
+        return Err(corrupt(format!(
+            "the TAT holds {} live tasks, but mapped descriptor slots name {named}",
+            dmu.live_tasks()
+        )));
+    }
+    if let Some(p) = pending {
+        let index = p.task.index();
+        if !descriptors.holds(index) || descriptors.end() != index + 1 {
+            return Err(corrupt(format!(
+                "the stalled creation of {} is not the newest task holding a descriptor slot",
+                p.task
+            )));
+        }
+    }
+    Ok(descriptors)
 }
 
 impl Persist for PendingCreation {
@@ -1289,7 +1310,7 @@ mod tests {
             finish(&mut sw, Cycle::ZERO, task, &mut ready);
             finish(&mut hw, Cycle::ZERO, task, &mut ready);
             assert!(sw.live.len() <= 1, "software live set leaked");
-            assert!(hw.task_slot.len() <= 1, "descriptor slots leaked");
+            assert!(hw.descriptors.len() <= 1, "descriptor slots leaked");
         }
         // Recycled descriptor slots: the allocator never grew past the peak
         // in-flight count.
@@ -1347,7 +1368,7 @@ mod tests {
         let mut chained = SoftwareEngine::new(CostModel::default());
         create_all(&mut chained, &chain);
 
-        type Edit = fn(&mut LiveSlab);
+        type Edit = fn(&mut InFlight<LiveTask>);
         let cases: [(&SoftwareEngine, Edit, &str); 5] = [
             // Task 2 has finished.
             (
@@ -1505,13 +1526,11 @@ mod tests {
         assert!(err.to_string().contains("per-op"), "got: {err}");
     }
 
-    /// The hardware `ENGINE` bytes, pinned together with the snapshot format
-    /// version. The state covers every part of the layout: a Dependence
-    /// Table row freed between two live ones, a successor list chained over
-    /// two SLA entries, a non-empty Ready Queue and a creation stalled on a
-    /// full TAT set.
-    #[test]
-    fn hardware_snapshot_bytes_are_pinned() {
+    /// The hardware state the pinned-bytes test saves, just before task 2
+    /// finishes: a Dependence Table row freed between two live ones, a
+    /// successor list chained over two SLA entries, and a creation stalled
+    /// on a full TAT set. Returns the engine and its configuration.
+    fn hardware_state_before_pinned_finish() -> (HardwareEngine, DmuConfig, Cycle) {
         let config = DmuConfig {
             tat_ways: 6,
             dat_ways: 2,
@@ -1519,14 +1538,6 @@ mod tests {
             ..DmuConfig::default()
                 .with_alias_sizes(6, 4)
                 .with_list_array_sizes(8, 8, 8)
-        };
-        let build = || {
-            HardwareEngine::new(
-                HardwareFlavor::Tdm,
-                config.clone(),
-                CostModel::default(),
-                Cycle::new(16),
-            )
         };
         let (x, y, z) = (0xA000, 0xB000, 0xC000);
         let (write, read) = (DependenceSpec::output, DependenceSpec::input);
@@ -1543,7 +1554,12 @@ mod tests {
         .into_iter()
         .map(|deps| TaskSpec::new("t", Cycle::new(1000), deps))
         .collect();
-        let mut hw = build();
+        let mut hw = HardwareEngine::new(
+            HardwareFlavor::Tdm,
+            config.clone(),
+            CostModel::default(),
+            Cycle::new(16),
+        );
         let mut ready = Vec::new();
         let mut now = Cycle::ZERO;
         let mut create = |hw: &mut HardwareEngine, now: &mut Cycle, t: usize| {
@@ -1564,10 +1580,25 @@ mod tests {
         }
         assert!(!create(&mut hw, &mut now, 7));
         assert!(hw.pending.is_some());
-        // Task 2 finishes on the DMU without the engine's drain, leaving
-        // task 6 in the Ready Queue.
-        let desc = hw.descriptor(TaskRef(2));
-        hw.dmu.finish_task(desc).unwrap();
+        (hw, config, now)
+    }
+
+    /// The descriptor address of in-flight `task`.
+    fn descriptor_of(hw: &HardwareEngine, task: TaskRef) -> DescriptorAddr {
+        descriptor_addr(hw.descriptors.get(task.index()).unwrap().slot)
+    }
+
+    /// The hardware `ENGINE` bytes, pinned together with the snapshot format
+    /// version. The state covers every part of the layout: a Dependence
+    /// Table row freed between two live ones, a successor list chained over
+    /// two SLA entries, a non-empty Ready Queue, a creation stalled on a
+    /// full TAT set, and a descriptor span with a hole and a free slot.
+    #[test]
+    fn hardware_snapshot_bytes_are_pinned() {
+        let (mut hw, config, now) = hardware_state_before_pinned_finish();
+        // Task 2 finishes and releases its slot without the engine's drain,
+        // leaving task 6 in the Ready Queue.
+        hw.finish_on_dmu(now, TaskRef(2), &mut Vec::new());
         assert_eq!(
             hw.dmu.peak_occupancy().successor_la,
             7,
@@ -1581,19 +1612,131 @@ mod tests {
         });
         assert_eq!(
             (FORMAT_VERSION, bytes.len(), fnv1a),
-            (4, 2003, 0xfdbd_6ffa_253b_d9dc),
+            (5, 1970, 0x53f5_8b0c_b893_5575),
             "the hardware ENGINE bytes changed: if the layout changed, bump \
              tdm_sim::snapshot::FORMAT_VERSION and SNAPSHOT_FORMAT.md, then re-pin \
              the length and hash"
         );
 
-        let mut restored = build();
+        let mut restored = HardwareEngine::new(
+            HardwareFlavor::Tdm,
+            config,
+            CostModel::default(),
+            Cycle::new(16),
+        );
         restored.load_state(&mut Reader::new(&bytes)).unwrap();
         let mut again = Vec::new();
         restored.save_state(&mut again);
         assert_eq!(again, bytes);
         let queued = restored.dmu.get_ready_task().value.map(|t| t.descriptor);
-        assert_eq!(queued, Some(restored.descriptor(TaskRef(6))));
+        assert_eq!(queued, Some(descriptor_of(&restored, TaskRef(6))));
+    }
+
+    /// Hostile variants of the pinned state, each written by `save_state`
+    /// and refused by `load_state` because its descriptor slots contradict
+    /// the allocator or the TAT. The first is the state the pinned test
+    /// used to save: task 2 finished on the DMU while its slot stays mapped.
+    #[test]
+    fn hardware_load_refuses_descriptor_slots_the_tat_contradicts() {
+        let (before, config, now) = hardware_state_before_pinned_finish();
+        let mut pinned = before.clone();
+        pinned.finish_on_dmu(now, TaskRef(2), &mut Vec::new());
+        // Tasks 1 and 3-6 are live with slots 1 and 0, 3, 4, 5; task 7 holds
+        // slot 6 but its create_task stalled; slot 2 is free.
+        assert_eq!(pinned.free_slots, vec![2]);
+        let slot_of = |hw: &HardwareEngine, t: usize| hw.descriptors.get(t).unwrap().slot;
+        assert_eq!(slot_of(&pinned, 3), 0);
+
+        type Edit = fn(&mut HardwareEngine);
+        let cases: [(&HardwareEngine, Edit, &str); 9] = [
+            (
+                &before,
+                |hw| {
+                    let desc = descriptor_of(hw, TaskRef(2));
+                    hw.dmu.finish_task(desc).unwrap();
+                },
+                "task#2 maps descriptor slot 2, whose descriptor is not live in the TAT",
+            ),
+            (
+                &pinned,
+                |hw| {
+                    let d = hw.descriptors.remove(3).unwrap();
+                    hw.free_slots.push(d.slot);
+                },
+                "the TAT holds 5 live tasks, but mapped descriptor slots name 4",
+            ),
+            (
+                &pinned,
+                |hw| hw.free_slots.push(0),
+                "task#3 maps descriptor slot 0, which is also free",
+            ),
+            (
+                &pinned,
+                |hw| hw.descriptors.get_mut(4).unwrap().slot = 0,
+                "task#4 maps descriptor slot 0, which another task maps too",
+            ),
+            (
+                &pinned,
+                |hw| hw.descriptors.get_mut(3).unwrap().slot = 7,
+                "task#3 maps descriptor slot 7, at or past the 7 slots handed out",
+            ),
+            (
+                &pinned,
+                |hw| hw.slot_owner[0] = 5,
+                "task#3 maps descriptor slot 0, whose recorded owner is task#5",
+            ),
+            (
+                &pinned,
+                |hw| {
+                    hw.free_slots.pop();
+                },
+                "descriptor slot 2 is neither free nor mapped",
+            ),
+            (
+                &pinned,
+                |hw| hw.pending.as_mut().unwrap().created = true,
+                "task#7 maps descriptor slot 6, whose descriptor is not live in the TAT",
+            ),
+            (
+                &pinned,
+                |hw| {
+                    let d = hw.descriptors.remove(7).unwrap();
+                    hw.free_slots.push(d.slot);
+                    let pending = hw.pending.as_mut().unwrap();
+                    (pending.task, pending.created) = (TaskRef(9), true);
+                },
+                "the stalled creation of task#9 is not the newest task",
+            ),
+        ];
+        for (original, edit, names) in cases {
+            let mut hostile = original.clone();
+            edit(&mut hostile);
+            let mut bytes = Vec::new();
+            hostile.save_state(&mut bytes);
+            let mut restored = HardwareEngine::new(
+                HardwareFlavor::Tdm,
+                config.clone(),
+                CostModel::default(),
+                Cycle::new(16),
+            );
+            let err = restored
+                .load_state(&mut Reader::new(&bytes))
+                .expect_err(names);
+            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains(names), "{err}");
+        }
+        // The unedited states load.
+        for state in [&before, &pinned] {
+            let mut bytes = Vec::new();
+            state.save_state(&mut bytes);
+            let mut restored = HardwareEngine::new(
+                HardwareFlavor::Tdm,
+                config.clone(),
+                CostModel::default(),
+                Cycle::new(16),
+            );
+            restored.load_state(&mut Reader::new(&bytes)).unwrap();
+        }
     }
 
     #[test]

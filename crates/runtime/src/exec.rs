@@ -63,8 +63,8 @@ use crate::cost::CostModel;
 use crate::engine::{
     DependenceEngine, HardwareEngine, HardwareFlavor, HardwareReport, ReadyInfo, SoftwareEngine,
 };
-use crate::fast_map::FastMap;
 use crate::fault::{FaultConfig, FaultPlan, FaultState};
+use crate::in_flight::InFlight;
 use crate::scheduler::{ReadyEntry, ReadyPool, SchedulerKind};
 use crate::stream::TaskSource;
 use crate::task::{TaskRef, TaskSpec, Workload};
@@ -536,12 +536,11 @@ impl TaskFeed for EagerFeed<'_> {
 /// scheduling decisions match the eager driver exactly).
 struct StreamFeed<'a, S: TaskSource + ?Sized> {
     source: &'a mut S,
-    /// Specs of fetched-but-unfinished tasks, keyed by task index.
-    in_flight: FastMap<usize, TaskSpec>,
+    /// Specs of fetched-but-unfinished tasks. The span ends at the index
+    /// of the peeked spec, the next one to fetch.
+    in_flight: InFlight<TaskSpec>,
     /// The next spec the source produced, not yet fetched by the driver.
     peeked: Option<TaskSpec>,
-    /// Index the peeked spec corresponds to.
-    next_index: usize,
 }
 
 impl<'a, S: TaskSource + ?Sized> StreamFeed<'a, S> {
@@ -549,9 +548,8 @@ impl<'a, S: TaskSource + ?Sized> StreamFeed<'a, S> {
         let peeked = source.next_task();
         StreamFeed {
             source,
-            in_flight: FastMap::default(),
+            in_flight: InFlight::default(),
             peeked,
-            next_index: 0,
         }
     }
 
@@ -573,8 +571,17 @@ impl<'a, S: TaskSource + ?Sized> StreamFeed<'a, S> {
         }
         let next_index = usize::load(&mut r)?;
         let had_peek = bool::load(&mut r)?;
-        let pairs = Vec::<(usize, TaskSpec)>::load(&mut r)?;
+        let in_flight: InFlight<TaskSpec> = InFlight::load(&mut r)?;
         r.expect_end("FEED")?;
+        if in_flight.end() != next_index {
+            return Err(SnapshotError::Corrupt {
+                context: format!(
+                    "FEED's in-flight span ends at task#{}, not at the stream cursor \
+                     {next_index}",
+                    in_flight.end()
+                ),
+            });
+        }
 
         if let Some(produced) = source.checkpoint_cursor() {
             if produced != 0 {
@@ -599,27 +606,10 @@ impl<'a, S: TaskSource + ?Sized> StreamFeed<'a, S> {
         } else {
             None
         };
-        let mut in_flight = FastMap::default();
-        for (index, spec) in pairs {
-            if index >= next_index {
-                return Err(SnapshotError::Corrupt {
-                    context: format!(
-                        "FEED lists task {index} as in flight, at or past the \
-                         stream cursor {next_index}"
-                    ),
-                });
-            }
-            if in_flight.insert(index, spec).is_some() {
-                return Err(SnapshotError::Corrupt {
-                    context: format!("FEED lists task {index} in flight twice"),
-                });
-            }
-        }
         Ok(StreamFeed {
             source,
             in_flight,
             peeked,
-            next_index,
         })
     }
 }
@@ -646,61 +636,54 @@ impl<S: TaskSource + ?Sized> TaskFeed for StreamFeed<'_, S> {
     fn exhausted(&self, next_create: usize) -> bool {
         // A stalled creation keeps its spec in `in_flight` without advancing
         // `next_create`, so the retry finds it there.
-        self.peeked.is_none() && !self.in_flight.contains_key(&next_create)
+        self.peeked.is_none() && !self.in_flight.holds(next_create)
     }
 
     fn fetch(&mut self, index: usize) -> &TaskSpec {
-        if !self.in_flight.contains_key(&index) {
-            assert_eq!(index, self.next_index, "stream fetched out of order");
+        if index == self.in_flight.end() {
             let spec = self.peeked.take().expect("fetch past end of task stream");
-            self.in_flight.insert(index, spec);
-            self.next_index += 1;
+            self.in_flight.push(index, spec);
             self.peeked = self.source.next_task();
         }
-        &self.in_flight[&index]
+        self.in_flight
+            .get(index)
+            .expect("stream fetched out of order")
     }
 
     fn spec(&self, task: TaskRef) -> &TaskSpec {
         self.in_flight
-            .get(&task.index())
+            .get(task.index())
             .expect("spec of a task that is not in flight")
     }
 
     fn holds(&self, task: TaskRef) -> bool {
-        self.in_flight.contains_key(&task.index())
+        self.in_flight.holds(task.index())
     }
 
     fn release(&mut self, task: TaskRef) {
-        self.in_flight.remove(&task.index());
+        self.in_flight.remove(task.index());
     }
 
     fn resident(&self) -> usize {
         self.in_flight.len() + usize::from(self.peeked.is_some())
     }
 
-    // A streaming checkpoint stores the production cursor plus the bounded
-    // in-flight window — never the unproduced remainder of the stream, so
-    // snapshots stay O(window) however many tasks are still to come.
+    // A streaming checkpoint stores the production cursor plus the in-flight
+    // span — never the unproduced remainder of the stream, so snapshots stay
+    // O(span) however many tasks are still to come.
     fn save_state(&self) -> Option<Vec<u8>> {
         let cursor = self.source.checkpoint_cursor()?;
+        let next_index = self.in_flight.end();
         debug_assert_eq!(
             cursor,
-            self.next_index as u64 + u64::from(self.peeked.is_some()),
+            next_index as u64 + u64::from(self.peeked.is_some()),
             "source cursor disagrees with the feed's production count"
         );
         let mut out = Vec::new();
         FEED_STREAM.save(&mut out);
-        self.next_index.save(&mut out);
+        next_index.save(&mut out);
         self.peeked.is_some().save(&mut out);
-        // In-flight specs keyed by task index, canonicalised to index order
-        // (map iteration order is unobservable and must stay that way).
-        let mut pairs: Vec<(usize, TaskSpec)> = self
-            .in_flight
-            .iter()
-            .map(|(&i, spec)| (i, spec.clone()))
-            .collect();
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        pairs.save(&mut out);
+        self.in_flight.save(&mut out);
         Some(out)
     }
 }
@@ -2317,6 +2300,44 @@ mod tests {
                 "section {id:#04x}: {err}"
             );
             assert!(err.to_string().contains(names), "section {id:#04x}: {err}");
+        }
+    }
+
+    #[test]
+    fn resume_refuses_feed_spans_the_cursor_or_their_slots_contradict() {
+        let w = chains_workload(3, 6, 20.0);
+        let chip = ChipConfig::default();
+        let config = small_chip(4).with_checkpoint_every(chip.micros(50.0));
+        let (_, snaps) =
+            stream_checkpoints(&w, &Backend::tdm_default(), SchedulerKind::Fifo, &config);
+        let snap = &snaps[0];
+        // FEED is the kind tag, the stream cursor, the peek flag, then the
+        // in-flight span: its base, its slots and, last, its live count.
+        let feed = snap.section(section::FEED).unwrap();
+        let mut r = Reader::new(feed);
+        assert_eq!(u8::load(&mut r).unwrap(), FEED_STREAM);
+        let cursor = usize::load(&mut r).unwrap() as u64;
+        bool::load(&mut r).unwrap();
+        let span = InFlight::<TaskSpec>::load(&mut r).unwrap();
+        assert!(span.len() > 0, "the checkpoint holds in-flight specs");
+        let live_at = feed.len() - 8;
+        for (at, value, names) in [
+            (1, cursor + 1, "not at the stream cursor"),
+            (live_at, span.len() as u64 + 1, "live tasks but holds"),
+        ] {
+            let mut hostile = Snapshot::new();
+            for sid in snap.section_ids() {
+                let mut payload = snap.section(sid).unwrap().to_vec();
+                if sid == section::FEED {
+                    payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                }
+                hostile.add_section(sid, payload);
+            }
+            let hostile = Snapshot::from_bytes(&hostile.to_bytes()).unwrap();
+            let err =
+                resume_stream_outcome(&mut WorkloadSource::new(&w), &hostile, &config).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains(names), "{err}");
         }
     }
 

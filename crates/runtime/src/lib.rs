@@ -58,6 +58,7 @@ pub mod engine;
 pub mod exec;
 pub mod fault;
 pub(crate) use tdm_sim::fast_map;
+mod in_flight;
 pub mod scheduler;
 pub mod stream;
 pub mod task;

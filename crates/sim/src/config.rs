@@ -60,12 +60,6 @@ pub struct MemoryConfig {
     pub l2_size_bytes: u64,
     /// L2 associativity.
     pub l2_ways: u32,
-    /// L2 hit latency in cycles (not listed in Table I; a conventional value).
-    pub l2_hit_latency: Cycle,
-    /// Main-memory access latency in cycles.
-    pub memory_latency: Cycle,
-    /// Cache line size in bytes.
-    pub line_bytes: u64,
 }
 
 impl Default for MemoryConfig {
@@ -76,9 +70,6 @@ impl Default for MemoryConfig {
             l1_hit_latency: Cycle::new(2),
             l2_size_bytes: 4 * 1024 * 1024,
             l2_ways: 16,
-            l2_hit_latency: Cycle::new(20),
-            memory_latency: Cycle::new(200),
-            line_bytes: 64,
         }
     }
 }
@@ -167,7 +158,6 @@ mod tests {
         assert_eq!(chip.memory.l1_hit_latency, Cycle::new(2));
         assert_eq!(chip.memory.l2_size_bytes, 4 * 1024 * 1024);
         assert_eq!(chip.memory.l2_ways, 16);
-        assert_eq!(chip.memory.line_bytes, 64);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub const MAGIC: [u8; 8] = *b"TDMSNAP\0";
 /// written by any other version outright, older or newer, because this
 /// reproduction keeps no legacy decoders — an old snapshot is regenerated,
 /// not migrated (see `SNAPSHOT_FORMAT.md`, "Versioning").
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Well-known section identifiers.
 ///

@@ -823,6 +823,40 @@ impl Dmu {
         }
     }
 
+    /// Refuses a restored structure whose geometry is not the one the
+    /// DMU's validated configuration builds: the operations size their
+    /// pre-checks and indices by the configuration.
+    fn check_geometry(&self) -> Result<(), SnapshotError> {
+        let c = &self.config;
+        let alias = |t: &AliasTable| (t.capacity(), t.ways());
+        let list = |a: &ListArray| (a.capacity(), a.elems_per_entry());
+        let elems = c.elems_per_list_entry;
+        // Each structure's (entries, ways or elements per entry), as
+        // restored and as configured.
+        #[rustfmt::skip]
+        let structures = [
+            ("TAT", alias(&self.tat), (c.tat_entries, c.tat_ways)),
+            ("DAT", alias(&self.dat), (c.dat_entries, c.dat_ways)),
+            ("task table", (self.tasks.capacity(), 1), (c.task_table_entries(), 1)),
+            ("dependence table", (self.deps.capacity(), 1), (c.dependence_table_entries(), 1)),
+            ("successor list array", list(&self.sla), (c.successor_la_entries, elems)),
+            ("dependence list array", list(&self.dla), (c.dependence_la_entries, elems)),
+            ("reader list array", list(&self.rla), (c.reader_la_entries, elems)),
+        ];
+        match structures
+            .into_iter()
+            .find(|(_, restored, built)| restored != built)
+        {
+            Some((name, restored, built)) => Err(SnapshotError::Corrupt {
+                context: format!(
+                    "DMU {name} has (entries, ways or elements per entry) {restored:?}, but \
+                     the DMU configuration builds {built:?}"
+                ),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Refuses a restored Ready Queue that the Task Table contradicts: each
     /// queued task must be a live, submitted row with no unfinished
     /// predecessor, queued once, and the recorded peak must cover the queue.
@@ -932,6 +966,7 @@ impl Persist for Dmu {
             stats: DmuStats::load(r)?,
             req_scratch: Vec::new(),
         };
+        dmu.check_geometry()?;
         dmu.check_ready_queue()?;
         Ok(dmu)
     }
@@ -1572,6 +1607,44 @@ mod tests {
             restore(&hostile),
             Err(SnapshotError::Corrupt { context }) if context.contains("records a peak of 0")
         ));
+    }
+
+    /// Every structure a DMU restores must have the geometry its own
+    /// validated configuration builds: a structure of another size, ways or
+    /// elements per entry would pass its own codec and break the first
+    /// operation that sizes a pre-check or an index by the configuration.
+    #[test]
+    fn load_refuses_structures_the_configuration_does_not_build() {
+        type Edit = fn(&mut Dmu);
+        let cases: [(&str, Edit); 7] = [
+            ("TAT", |d| {
+                d.tat = AliasTable::new(128, 8, IndexPolicy::Dynamic)
+            }),
+            ("DAT", |d| {
+                d.dat = AliasTable::new(64, 4, IndexPolicy::Dynamic)
+            }),
+            ("task table", |d| d.tasks = TaskTable::new(32)),
+            ("dependence table", |d| d.deps = DependenceTable::new(128)),
+            ("successor list array", |d| d.sla = ListArray::new(32, 4)),
+            ("dependence list array", |d| d.dla = ListArray::new(64, 2)),
+            ("reader list array", |d| d.rla = ListArray::new(64, 8)),
+        ];
+        let restore = |dmu: &Dmu| {
+            let mut bytes = Vec::new();
+            dmu.save(&mut bytes);
+            Dmu::load(&mut Reader::new(&bytes))
+        };
+        assert!(restore(&Dmu::new(small_config())).is_ok());
+        for (name, edit) in cases {
+            let mut hostile = Dmu::new(small_config());
+            edit(&mut hostile);
+            match restore(&hostile) {
+                Err(SnapshotError::Corrupt { context }) => {
+                    assert!(context.contains(&format!("DMU {name} has")), "{context}")
+                }
+                other => panic!("{name}: expected a corrupt geometry, got {other:?}"),
+            }
+        }
     }
 }
 

@@ -470,7 +470,7 @@ impl Persist for ListArray {
         };
         let entries = array.lens.len();
         if array.elems_per_entry == 0
-            || array.arena.len() != entries * array.elems_per_entry
+            || entries.checked_mul(array.elems_per_entry) != Some(array.arena.len())
             || array.next.len() != entries
             || array.tail.len() != entries
             || array.chain_entries.len() != entries
@@ -685,6 +685,23 @@ pub mod naive {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A restored array's arena must hold exactly entries × elements slots;
+    /// a product that overflows is refused, not wrapped to a size that
+    /// matches an empty arena and then indexed out of bounds.
+    #[test]
+    fn load_refuses_an_arena_size_that_overflows() {
+        let mut array = ListArray::new(2, 1);
+        array.elems_per_entry = 1 << 63;
+        array.arena.clear();
+        let bytes = tdm_sim::snapshot::to_payload(&array);
+        match ListArray::load(&mut Reader::new(&bytes)) {
+            Err(SnapshotError::Corrupt { context }) => {
+                assert!(context.contains("geometry is inconsistent"), "{context}")
+            }
+            other => panic!("expected an inconsistent geometry, got {other:?}"),
+        }
+    }
 
     #[test]
     fn push_and_collect_preserve_order() {

@@ -813,6 +813,16 @@ impl DependenceEngine for HardwareEngine {
             });
         }
         let dmu = Dmu::load(r)?;
+        if dmu.config() != self.dmu.config() {
+            return Err(SnapshotError::Corrupt {
+                context: format!(
+                    "hardware ENGINE section holds a DMU configured as {:?}, but META's backend \
+                     configures {:?}",
+                    dmu.config(),
+                    self.dmu.config()
+                ),
+            });
+        }
         let dmu_free_at = Cycle::load(r)?;
         let pending = Option::load(r)?;
         let stall_cycles = Cycle::load(r)?;
@@ -1737,6 +1747,28 @@ mod tests {
             );
             restored.load_state(&mut Reader::new(&bytes)).unwrap();
         }
+    }
+
+    /// The ENGINE section's DMU must be configured as META's backend
+    /// configures the engine: a DMU with another access latency (or any
+    /// other knob) would charge every resumed instruction differently.
+    #[test]
+    fn hardware_load_refuses_a_dmu_configured_unlike_the_engine() {
+        let engine = |dmu: DmuConfig| {
+            HardwareEngine::new(
+                HardwareFlavor::Tdm,
+                dmu,
+                CostModel::default(),
+                Cycle::new(16),
+            )
+        };
+        let mut bytes = Vec::new();
+        engine(DmuConfig::default().with_access_latency(Cycle::new(10))).save_state(&mut bytes);
+        let err = engine(DmuConfig::default())
+            .load_state(&mut Reader::new(&bytes))
+            .unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("META's backend"), "{err}");
     }
 
     #[test]

@@ -258,9 +258,21 @@ impl ExecConfig {
 /// The set of currently idle cores: O(1) insert/remove via a per-core
 /// bitmap, with the lowest-numbered idle core woken first — the same wake
 /// order the `BTreeSet` it replaces produced, so runs stay bit-identical.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct IdleSet {
     words: Vec<u64>,
+}
+
+impl Persist for IdleSet {
+    fn save(&self, out: &mut Vec<u8>) {
+        self.words.save(out);
+    }
+
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(IdleSet {
+            words: Vec::load(r)?,
+        })
+    }
 }
 
 impl IdleSet {
@@ -710,16 +722,9 @@ pub fn simulate(
     scheduler: SchedulerKind,
     config: &ExecConfig,
 ) -> RunReport {
-    let outcome = run_core(
-        EagerFeed { workload },
-        backend,
-        scheduler,
-        config,
-        None,
-        None,
-    )
-    .expect("a run without restore cannot fail")
-    .expect("a run without a checkpoint sink cannot halt");
+    let outcome = Run::new(EagerFeed { workload }, backend, scheduler, config)
+        .run(None)
+        .expect("a run without a checkpoint sink cannot halt");
     completed_or_panic(outcome)
 }
 
@@ -759,16 +764,9 @@ pub fn simulate_stream_outcome<S: TaskSource + ?Sized>(
     scheduler: SchedulerKind,
     config: &ExecConfig,
 ) -> RunOutcome {
-    run_core(
-        StreamFeed::new(source),
-        backend,
-        scheduler,
-        config,
-        None,
-        None,
-    )
-    .expect("a run without restore cannot fail")
-    .expect("a run without a checkpoint sink cannot halt")
+    Run::new(StreamFeed::new(source), backend, scheduler, config)
+        .run(None)
+        .expect("a run without a checkpoint sink cannot halt")
 }
 
 /// Runs `source` like [`simulate_stream_outcome`], additionally capturing a
@@ -809,15 +807,7 @@ pub fn simulate_stream_checkpointed_outcome<S: TaskSource + ?Sized>(
         next_at: every,
         sink,
     });
-    run_core(
-        StreamFeed::new(source),
-        backend,
-        scheduler,
-        config,
-        None,
-        ctl,
-    )
-    .expect("source cursor support was checked above")
+    Run::new(StreamFeed::new(source), backend, scheduler, config).run(ctl)
 }
 
 /// Resumes a streaming run from `snapshot`, driving it to completion.
@@ -846,15 +836,10 @@ pub fn resume_stream_outcome<S: TaskSource + ?Sized>(
     let meta = RunMeta::from_snapshot(snapshot)?;
     meta.validate(source.name(), config)?;
     let feed = StreamFeed::restore(source, snapshot.section(section::FEED)?)?;
-    let outcome = run_core(
-        feed,
-        &meta.backend,
-        meta.scheduler,
-        config,
-        Some(snapshot),
-        None,
-    )?;
-    Ok(outcome.expect("resumed runs have no checkpoint sink and cannot halt"))
+    let run = Run::restore(feed, &meta.backend, meta.scheduler, config, snapshot)?;
+    Ok(run
+        .run(None)
+        .expect("resumed runs have no checkpoint sink and cannot halt"))
 }
 
 /// Event-queue payload marking a retry dispatch instead of a core event.
@@ -862,6 +847,9 @@ pub fn resume_stream_outcome<S: TaskSource + ?Sized>(
 /// entry of the retry queue is re-issued to the scheduling pool. No real
 /// core can carry this id (cores are `0..num_cores`).
 const RETRY_EVENT: usize = usize::MAX;
+
+/// The master core, which creates every task and never retires.
+const MASTER: usize = 0;
 
 /// A task in flight on a core, carrying the successor count its
 /// [`ReadyEntry`] arrived with so a faulted task can be re-issued under the
@@ -915,8 +903,8 @@ impl BlockSets {
     }
 }
 
-/// Periodic capture control threaded into [`run_core`]: when simulated time
-/// reaches `next_at`, the driver assembles a [`Snapshot`] and hands it to
+/// Periodic capture control handed to [`Run::run`]: when simulated time
+/// reaches `next_at`, the driver captures a [`Snapshot`] and hands it to
 /// `sink`; a `false` return halts the run
 /// ([`simulate_stream_checkpointed_outcome`] then returns `None` instead of
 /// an outcome).
@@ -926,635 +914,646 @@ struct CheckpointCtl<'a> {
     sink: &'a mut dyn FnMut(Snapshot) -> bool,
 }
 
-/// The discrete-event loop shared by every entry point: plain
-/// ([`simulate`] / [`simulate_stream`]), checkpointed (`checkpoint` set) and
-/// resumed (`restore` set). Returns `Ok(None)` when a checkpoint sink halted
-/// the run, and an error only when `restore` holds an inconsistent snapshot.
-/// Fault injection aborting the run is a normal return
-/// ([`RunOutcome::Aborted`]), not an error.
-fn run_core<F: TaskFeed>(
-    mut feed: F,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-    config: &ExecConfig,
-    restore: Option<&Snapshot>,
-    mut checkpoint: Option<CheckpointCtl<'_>>,
-) -> Result<Option<RunOutcome>, SnapshotError> {
-    let num_cores = config.chip.num_cores;
-    let master = 0usize;
-    let window = config.window.max(1);
-    let noc = NocModel::from_chip(&config.chip);
-    let noc_round_trip = noc.average_round_trip();
-
-    let mut engine = backend.build_engine(&config.cost, noc_round_trip);
-    let hardware_sched = backend.hardware_scheduling();
-    let mut pool = if hardware_sched {
-        SchedulerKind::Fifo.build()
-    } else {
-        scheduler.build()
-    };
-    let scheduler_name = if hardware_sched {
-        "HW-FIFO".to_string()
-    } else {
-        scheduler.name().to_string()
-    };
-    let (push_cost, pick_cost) = if hardware_sched {
-        (config.cost.hw_queue_op, config.cost.hw_queue_op)
-    } else {
-        (config.cost.sw_sched_push, config.cost.sw_sched_pick)
-    };
-
-    let locality_benefit = feed.locality_benefit();
-    let duration_jitter = feed.duration_jitter();
-    let mut stats = SimStats::new(num_cores, master);
-    let mut locality = LocalityModel::new(num_cores, config.locality_capacity_bytes.max(1));
-    let mut events: EventQueue<usize> = EventQueue::new();
-    let mut running: Vec<Option<RunningTask>> = vec![None; num_cores];
-    let mut idle_since: Vec<Option<Cycle>> = vec![None; num_cores];
-    let mut idle_set = IdleSet::new(num_cores);
-    // Fault injection: the plan is a pure function of the run seed and the
-    // fault configuration (dedicated stream, so fault draws never perturb
-    // duration jitter), the state is the mutable bookkeeping. Completion
-    // boundaries are counted even with faults disabled so the FAULT snapshot
-    // section — and therefore whole snapshots — are bit-identical between
-    // `fault: None` and an all-zero-rate config.
-    let fault_plan = config
-        .fault
-        .as_ref()
-        .map(|fc| FaultPlan::new(config.seed, fc.clone()));
-    let mut fault_state = FaultState::new(num_cores);
-    // Engine outputs reused across events so the loop allocates nothing per
-    // operation: a finish's cost and `[start, end)` span, and the tasks a
-    // finish or a creation readied.
-    let mut fin_cost: Vec<Cycle> = Vec::new();
-    let mut fin_span: Vec<(usize, usize)> = Vec::new();
-    let mut ready: Vec<ReadyInfo> = Vec::new();
-    let mut block_sets = BlockSets::default();
-    let mut next_create = 0usize;
-    let mut finished = 0usize;
-    let mut peak_resident = feed.resident();
-    let mut schedule: Vec<ScheduledTask> = if config.trace_schedule {
-        Vec::with_capacity(feed.len_hint().unwrap_or(0))
-    } else {
-        Vec::new()
-    };
-    let mut makespan = Cycle::ZERO;
-    // True while the master is held back from creating — either the last
-    // creation attempt stalled on a full DMU structure, or the in-flight
-    // count reached the configured window. The master then behaves as a
-    // worker (runtime-system throttling) and retries after tasks finish.
-    let mut master_throttled = false;
-    // First task to exhaust its retry budget (with its final failure
-    // count): the run halts at the end of that batch and reports
-    // `RunOutcome::Aborted` instead of completing.
-    let mut aborted: Option<(TaskRef, u32)> = None;
-
-    // Deterministic per-task duration jitter: the same task gets the same
-    // duration regardless of scheduler or backend, so comparisons are fair.
-    let jitter_for = |task: TaskRef| -> f64 {
-        if duration_jitter == 0.0 {
-            1.0
-        } else {
-            let mut rng = SplitMix64::new(config.seed ^ (task.index() as u64).wrapping_mul(0x9E37));
-            rng.jitter(duration_jitter)
-        }
-    };
-
-    if let Some(snap) = restore {
-        // Reinstate the mutable run state section by section. META (identity
-        // and configuration fingerprint) was already validated by the resume
-        // entry point, and the feed was rebuilt from FEED before this call;
-        // everything else lives in the long-lived locals loaded here. The
-        // initial per-core event seeding is skipped — the restored event
-        // queue already holds the pending events of the interrupted run.
-        stats = snapshot::from_payload(snap.section(section::STATS)?, "STATS")?;
-        if stats.cores.len() != num_cores || stats.master != master {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "STATS section covers {} cores (master {}), expected {num_cores} \
-                     (master {master})",
-                    stats.cores.len(),
-                    stats.master
-                ),
-            });
-        }
-        locality = snapshot::from_payload(snap.section(section::LOCALITY)?, "LOCALITY")?;
-        if locality.num_cores() != num_cores {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "LOCALITY section covers {} cores, expected {num_cores}",
-                    locality.num_cores()
-                ),
-            });
-        }
-        events = snapshot::from_payload(snap.section(section::EVENTS)?, "EVENTS")?;
-        let mut pending = events.clone();
-        while let Some((_, core)) = pending.pop() {
-            if core >= num_cores && core != RETRY_EVENT {
-                return Err(SnapshotError::Corrupt {
-                    context: format!(
-                        "EVENTS holds an event for core {core}, but the run has {num_cores} cores"
-                    ),
-                });
-            }
-        }
-        let mut r = Reader::new(snap.section(section::SCHEDULER)?);
-        pool.load_state(&mut r)?;
-        r.expect_end("SCHEDULER")?;
-        let mut r = Reader::new(snap.section(section::ENGINE)?);
-        engine.load_state(&mut r)?;
-        r.expect_end("ENGINE")?;
-        let mut r = Reader::new(snap.section(section::DRIVER)?);
-        running = Vec::load(&mut r)?;
-        idle_since = Vec::load(&mut r)?;
-        let idle_words = Vec::<u64>::load(&mut r)?;
-        next_create = usize::load(&mut r)?;
-        finished = usize::load(&mut r)?;
-        peak_resident = usize::load(&mut r)?;
-        makespan = Cycle::load(&mut r)?;
-        master_throttled = bool::load(&mut r)?;
-        r.expect_end("DRIVER")?;
-        if running.len() != num_cores
-            || idle_since.len() != num_cores
-            || idle_words.len() != idle_set.words.len()
-        {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "DRIVER section covers {} cores, expected {num_cores}",
-                    running.len()
-                ),
-            });
-        }
-        if let Some(core) = (num_cores..idle_words.len() * 64)
-            .find(|&core| idle_words[core >> 6] & (1 << (core & 63)) != 0)
-        {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "DRIVER idle set holds core {core}, but the run has {num_cores} cores"
-                ),
-            });
-        }
-        idle_set.words = idle_words;
-        fault_state = snapshot::from_payload(snap.section(section::FAULT)?, "FAULT")?;
-        if fault_state.num_cores() != num_cores {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "FAULT section covers {} cores, expected {num_cores}",
-                    fault_state.num_cores()
-                ),
-            });
-        }
-        // The driver starts each ready or retrying task on a core, and the
-        // engine finishes each running task, which panics unless the task
-        // was created, is unfinished and sits in one place only.
-        let mut placed: Vec<(TaskRef, &str, &str)> = running
-            .iter()
-            .flatten()
-            .map(|rt| (rt.task, "DRIVER", "running"))
-            .chain(pool.tasks().map(|task| (task, "SCHEDULER", "ready")))
-            .chain(
-                fault_state
-                    .pending_retries()
-                    .iter()
-                    .map(|retry| (retry.task, "FAULT", "due for retry")),
-            )
-            .collect();
-        if let Some((task, section, role)) = placed
-            .iter()
-            .find(|(task, _, _)| task.index() >= next_create || !feed.holds(*task))
-        {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "{section} lists {task} as {role}, but FEED does not hold it in flight"
-                ),
-            });
-        }
-        placed.sort_unstable();
-        if let Some(pair) = placed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
-            let [(task, a, role_a), (_, b, role_b)] = [pair[0], pair[1]];
-            let context = match (a == b, a) {
-                (true, "DRIVER") => format!("DRIVER lists {task} as running on two cores"),
-                (true, _) => format!("{a} lists {task} twice"),
-                (false, _) => format!("{task} is both {role_a} in {a} and {role_b} in {b}"),
-            };
-            return Err(SnapshotError::Corrupt { context });
-        }
-        if config.trace_schedule {
-            schedule = snapshot::from_payload(snap.section(section::TRACE)?, "TRACE")?;
-        }
-    } else {
-        for core in 0..num_cores {
-            events.schedule(Cycle::ZERO, core);
-        }
-    }
-
-    // Same-cycle delivery: `pop_batch` drains every event of the earliest
-    // cycle, processed in FIFO order. Events scheduled *for the same cycle*
-    // while the batch runs form the next batch — exactly the position
-    // serial pops would have delivered them in (behind everything already
-    // pending), so the timeline is the one a pop-at-a-time loop produces.
-    let mut batch: Vec<usize> = Vec::new();
-    while let Some(now) = events.pop_batch(&mut batch) {
-        for &core in &batch {
-            // ------------------------------------------------------------------
-            // Phase 0: retry dispatch. A sentinel event re-issues every due
-            // entry of the retry queue to the scheduling pool, in insertion
-            // order, and wakes idle cores to pick them up. Re-issue itself
-            // is modeled free: the retry watchdog runs off the critical
-            // path, and the backoff delay already charged the latency.
-            // ------------------------------------------------------------------
-            if core == RETRY_EVENT {
-                let dispatched = fault_state.drain_due(now, |task, num_successors| {
-                    pool.push(ReadyEntry {
-                        task,
-                        num_successors,
-                        creation_seq: task.index(),
-                        ready_at: now,
-                        producer_core: None,
-                    });
-                });
-                for _ in 0..dispatched {
-                    let Some(idle_core) = idle_set.pop_min() else {
-                        break;
-                    };
-                    events.schedule(now, idle_core);
-                }
-                continue;
-            }
-            let mut t = now;
-
-            // ------------------------------------------------------------------
-            // Phase 1: the completion of the task this core was running, if
-            // any. The completion boundary decides transient failure (the
-            // task's result is lost, it must re-run) and sticky core
-            // retirement (this completion is the core's last). Both are pure
-            // draws keyed on stable identities, so the decisions are
-            // identical across backends, schedulers and resume.
-            // ------------------------------------------------------------------
-            let mut finished_here = false;
-            if let Some(rt) = running[core].take() {
-                let completion = fault_state.record_completion(core);
-                let mut failed_under = None;
-                if let Some(plan) = &fault_plan {
-                    if plan.should_fail(rt.task, fault_state.failure_count(rt.task)) {
-                        failed_under = Some(plan);
-                    } else {
-                        // A finished task never runs again, so its failure
-                        // count is never read: dropping it keeps the FAULT
-                        // section bounded by the window.
-                        fault_state.forget_failures(rt.task);
-                    }
-                    if core != master && plan.should_retire(core, completion) {
-                        fault_state.retire(core);
-                    }
-                }
-                if let Some(plan) = failed_under {
-                    // An injected failure: the task never finished, so
-                    // dependents stay blocked, the window stays occupied and
-                    // the master throttle is NOT reset. The core pays the
-                    // fault-detection latency (the engine never sees the
-                    // attempt), then the task is queued for re-issue after a
-                    // linear backoff — or, past the retry budget, the run
-                    // aborts at the end of this batch.
-                    let cost = plan.config().detect_cost;
-                    stats.cores[core].add(Phase::Deps, cost);
-                    t += cost;
-                    makespan = makespan.max(t);
-                    let count = fault_state.record_failure(rt.task);
-                    if count > plan.config().retry_budget {
-                        if aborted.is_none() {
-                            aborted = Some((rt.task, count));
-                        }
-                    } else {
-                        let due = t + plan.backoff_delay(count);
-                        fault_state.push_retry(due, rt.task, rt.num_successors);
-                        events.schedule(due, RETRY_EVENT);
-                    }
-                } else {
-                    fin_cost.clear();
-                    fin_span.clear();
-                    ready.clear();
-                    engine.finish_batch(
-                        now,
-                        &[(rt.task, core)],
-                        &mut fin_cost,
-                        &mut ready,
-                        &mut fin_span,
-                    );
-                    feed.release(rt.task);
-                    // Any finish releases DMU resources and shrinks the
-                    // in-flight window, so a throttled master may retry
-                    // creation at its next opportunity.
-                    master_throttled = false;
-                    stats.cores[core].add(Phase::Deps, fin_cost[0]);
-                    t += fin_cost[0];
-                    finished += 1;
-                    finished_here = true;
-                    if config.trace_schedule {
-                        schedule.push(ScheduledTask {
-                            task: rt.task,
-                            core,
-                            finish: t,
-                        });
-                    }
-                    makespan = makespan.max(t);
-                    push_ready(
-                        &ready,
-                        Some(core),
-                        &mut t,
-                        core,
-                        &mut pool,
-                        &mut stats,
-                        push_cost,
-                        &mut idle_set,
-                        &mut events,
-                    );
-                }
-            }
-
-            // A finish frees DMU resources (and may ready tasks): make sure a
-            // throttled or idle master gets a chance to resume creation.
-            if finished_here
-                && core != master
-                && !feed.exhausted(next_create)
-                && idle_set.remove(master)
-            {
-                events.schedule(t, master);
-            }
-
-            // ------------------------------------------------------------------
-            // Phase 2: the master's creation attempt, at its own `t` after its
-            // completion.
-            //
-            // When a creation attempt stalls on a full DMU structure, or the
-            // in-flight count reaches the configured window, the master does not
-            // busy-wait: like a throttled runtime system it falls through to the
-            // worker path, executes a task (or goes idle) and retries creation
-            // after the next finish.
-            // ------------------------------------------------------------------
-            if core == master && !master_throttled && !feed.exhausted(next_create) {
-                if next_create - finished >= window {
-                    master_throttled = true;
-                } else {
-                    ready.clear();
-                    let outcome = {
-                        let spec = feed.fetch(next_create);
-                        engine.create_task(t, TaskRef(next_create), spec, &mut ready)
-                    };
-                    peak_resident = peak_resident.max(feed.resident());
-                    stats.cores[master].add(Phase::Deps, outcome.cost);
-                    t += outcome.cost;
-                    push_ready(
-                        &ready,
-                        None,
-                        &mut t,
-                        master,
-                        &mut pool,
-                        &mut stats,
-                        push_cost,
-                        &mut idle_set,
-                        &mut events,
-                    );
-                    if outcome.completed {
-                        next_create += 1;
-                        events.schedule(t, master);
-                        continue;
-                    }
-                    master_throttled = true;
-                }
-            }
-
-            // ------------------------------------------------------------------
-            // Phase 3: worker behaviour — schedule and execute a ready task.
-            // ------------------------------------------------------------------
-            if feed.exhausted(next_create) && finished >= next_create {
-                continue;
-            }
-            // A retired core never takes new work and never joins the idle
-            // set (it cannot be woken). If ready work is pending, hand the
-            // wake-up to an idle survivor so the pool is never stranded on
-            // a core that just died.
-            if fault_state.is_retired(core) {
-                if !pool.is_empty() {
-                    if let Some(idle_core) = idle_set.pop_min() {
-                        events.schedule(t, idle_core);
-                    }
-                }
-                continue;
-            }
-            if let Some(entry) = pool.pop(core) {
-                if let Some(since) = idle_since[core].take() {
-                    stats.cores[core].add(Phase::Idle, t.saturating_sub(since));
-                }
-                idle_set.remove(core);
-                stats.cores[core].add(Phase::Sched, pick_cost);
-                t += pick_cost;
-
-                let spec = feed.spec(entry.task);
-                block_sets.fill(spec);
-                let hit_fraction = locality.probe(core, &block_sets.working).hit_fraction();
-                let locality_factor = 1.0 - locality_benefit * hit_fraction;
-                let duration = spec
-                    .duration
-                    .scaled_f64(locality_factor * jitter_for(entry.task));
-                locality.record_reads(core, &block_sets.reads);
-                locality.record_writes(core, &block_sets.writes);
-
-                stats.cores[core].add(Phase::Exec, duration);
-                running[core] = Some(RunningTask {
-                    task: entry.task,
-                    num_successors: entry.num_successors,
-                });
-                events.schedule(t + duration, core);
-            } else {
-                if idle_since[core].is_none() {
-                    idle_since[core] = Some(t);
-                }
-                idle_set.insert(core);
-            }
-        }
-
-        // Retry-budget exhaustion: the rest of the batch was processed
-        // normally (its bookkeeping is already committed), but no further
-        // cycle runs and no checkpoint is taken at the abort point.
-        if aborted.is_some() {
-            break;
-        }
-
-        // Periodic checkpoint capture, between batches: no per-operation
-        // scratch (the engine output buffers) is live here, so the full run
-        // state is exactly the long-lived locals serialised here.
-        if let Some(ctl) = checkpoint.as_mut() {
-            if now >= ctl.next_at {
-                ctl.next_at = now + ctl.every;
-                let snap = capture_snapshot(
-                    &feed,
-                    backend,
-                    scheduler,
-                    config,
-                    &*engine,
-                    &pool,
-                    &stats,
-                    &locality,
-                    &events,
-                    &running,
-                    &idle_since,
-                    &idle_set,
-                    next_create,
-                    finished,
-                    peak_resident,
-                    makespan,
-                    master_throttled,
-                    &fault_state,
-                    &schedule,
-                );
-                if !(ctl.sink)(snap) {
-                    return Ok(None);
-                }
-            }
-        }
-    }
-
-    assert!(
-        aborted.is_some() || (feed.exhausted(next_create) && finished == next_create),
-        "simulation ended with {finished} of {next_create} created tasks finished \
-         (stream exhausted: {}) — dependence engine deadlock",
-        feed.exhausted(next_create)
-    );
-
-    stats.makespan = makespan;
-    stats.normalize_to_makespan();
-
-    let report = RunReport {
-        workload: feed.name().to_string(),
-        backend: backend.name().to_string(),
-        scheduler: scheduler_name,
-        stats,
-        hardware: engine.hardware_report(),
-        tasks: finished as u64,
-        peak_resident_tasks: peak_resident,
-        faults_injected: fault_state.faults_injected,
-        retries: fault_state.retries,
-        retired_cores: fault_state.retired_cores(),
-        schedule,
-    };
-    Ok(Some(match aborted {
-        Some((task, attempts)) => RunOutcome::Aborted {
-            task,
-            attempts,
-            report,
-        },
-        None => RunOutcome::Completed(report),
-    }))
-}
-
-/// Assembles the complete run state into a [`Snapshot`], one section per
-/// subsystem (the registry in [`tdm_sim::snapshot::SECTIONS`] and the layout
-/// in `SNAPSHOT_FORMAT.md` describe each). Pure read: capture never mutates
-/// the run, so checkpointed and plain runs stay bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn capture_snapshot<F: TaskFeed>(
-    feed: &F,
-    backend: &Backend,
-    scheduler: SchedulerKind,
-    config: &ExecConfig,
-    engine: &dyn DependenceEngine,
-    pool: &ReadyPool,
-    stats: &SimStats,
-    locality: &LocalityModel,
-    events: &EventQueue<usize>,
-    running: &[Option<RunningTask>],
-    idle_since: &[Option<Cycle>],
-    idle_set: &IdleSet,
+/// The driver's own per-core and progress state: the `DRIVER` snapshot
+/// section, in its field order.
+#[derive(Clone)]
+struct Driver {
+    running: Vec<Option<RunningTask>>,
+    idle_since: Vec<Option<Cycle>>,
+    idle: IdleSet,
     next_create: usize,
     finished: usize,
     peak_resident: usize,
     makespan: Cycle,
+    /// True while the master is held back from creating — either the last
+    /// creation attempt stalled on a full DMU structure, or the in-flight
+    /// count reached the configured window. The master then behaves as a
+    /// worker (runtime-system throttling) and retries after tasks finish.
     master_throttled: bool,
-    fault_state: &FaultState,
-    schedule: &[ScheduledTask],
-) -> Snapshot {
-    let feed_state = feed
-        .save_state()
-        .expect("checkpointing requires a source with a checkpoint cursor");
-    let meta = RunMeta {
-        feed_kind: FEED_STREAM,
-        workload: feed.name().to_string(),
-        backend: backend.clone(),
-        scheduler,
-        num_cores: config.chip.num_cores as u64,
-        seed: config.seed,
-        locality_capacity_bytes: config.locality_capacity_bytes,
-        trace_schedule: config.trace_schedule,
-        window: config.window as u64,
-        retired_per_op: false,
-        cost_hash: debug_hash(&config.cost),
-        chip_hash: debug_hash(&config.chip),
-        fault_hash: debug_hash(&config.fault),
-    };
-
-    let mut driver = Vec::new();
-    running.to_vec().save(&mut driver);
-    idle_since.to_vec().save(&mut driver);
-    idle_set.words.save(&mut driver);
-    next_create.save(&mut driver);
-    finished.save(&mut driver);
-    peak_resident.save(&mut driver);
-    makespan.save(&mut driver);
-    master_throttled.save(&mut driver);
-
-    let mut sched_state = Vec::new();
-    pool.save_state(&mut sched_state);
-    let mut engine_state = Vec::new();
-    engine.save_state(&mut engine_state);
-
-    let mut snap = Snapshot::new();
-    snap.add_section(section::META, snapshot::to_payload(&meta));
-    snap.add_section(section::DRIVER, driver);
-    snap.add_section(section::EVENTS, snapshot::to_payload(events));
-    snap.add_section(section::STATS, snapshot::to_payload(stats));
-    snap.add_section(section::LOCALITY, snapshot::to_payload(locality));
-    snap.add_section(section::SCHEDULER, sched_state);
-    snap.add_section(section::ENGINE, engine_state);
-    snap.add_section(section::FEED, feed_state);
-    snap.add_section(section::FAULT, snapshot::to_payload(fault_state));
-    if config.trace_schedule {
-        snap.add_section(section::TRACE, snapshot::to_payload(&schedule.to_vec()));
-    }
-    snap
 }
 
-/// Pushes newly ready tasks into the scheduling pool, charging the pushing
-/// core, and wakes idle cores to pick them up.
-#[allow(clippy::too_many_arguments)]
-fn push_ready(
-    ready: &[ReadyInfo],
-    producer_core: Option<usize>,
-    t: &mut Cycle,
-    pushing_core: usize,
-    pool: &mut ReadyPool,
-    stats: &mut SimStats,
-    push_cost: Cycle,
-    idle_set: &mut IdleSet,
-    events: &mut EventQueue<usize>,
-) {
-    for info in ready {
-        stats.cores[pushing_core].add(Phase::Sched, push_cost);
-        *t += push_cost;
-        pool.push(ReadyEntry {
-            task: info.task,
-            num_successors: info.num_successors,
-            creation_seq: info.task.index(),
-            ready_at: *t,
-            producer_core,
-        });
+impl Persist for Driver {
+    fn save(&self, out: &mut Vec<u8>) {
+        self.running.save(out);
+        self.idle_since.save(out);
+        self.idle.save(out);
+        self.next_create.save(out);
+        self.finished.save(out);
+        self.peak_resident.save(out);
+        self.makespan.save(out);
+        self.master_throttled.save(out);
     }
-    // Wake one idle core per newly ready task, lowest-numbered first.
-    for _ in 0..ready.len() {
-        let Some(idle_core) = idle_set.pop_min() else {
-            break;
+
+    fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Driver {
+            running: Vec::load(r)?,
+            idle_since: Vec::load(r)?,
+            idle: IdleSet::load(r)?,
+            next_create: usize::load(r)?,
+            finished: usize::load(r)?,
+            peak_resident: usize::load(r)?,
+            makespan: Cycle::load(r)?,
+            master_throttled: bool::load(r)?,
+        })
+    }
+}
+
+/// One run of the discrete-event loop shared by every entry point: plain
+/// ([`simulate`] / [`simulate_stream`]), checkpointed and resumed. It owns
+/// every piece of mutable run state; [`capture`](Run::capture) writes it
+/// section by section and [`restore`](Run::restore) reads the same sections
+/// back, and both run the same [`check`](Run::check).
+struct Run<'a, F: TaskFeed> {
+    feed: F,
+    backend: &'a Backend,
+    scheduler: SchedulerKind,
+    config: &'a ExecConfig,
+    engine: Box<dyn DependenceEngine>,
+    pool: ReadyPool,
+    events: EventQueue<usize>,
+    stats: SimStats,
+    locality: LocalityModel,
+    /// Fault draws: a pure function of the seed and the fault configuration
+    /// on their own stream, so they never perturb duration jitter. `fault`
+    /// counts completions even with faults off, so a zero-rate run's
+    /// snapshots equal an unfaulted run's byte for byte.
+    fault_plan: Option<FaultPlan>,
+    fault: FaultState,
+    driver: Driver,
+    schedule: Vec<ScheduledTask>,
+    /// First task to exhaust its retry budget (with its final failure
+    /// count): the run halts at the end of that batch and reports
+    /// `RunOutcome::Aborted` instead of completing.
+    aborted: Option<(TaskRef, u32)>,
+    window: usize,
+    push_cost: Cycle,
+    pick_cost: Cycle,
+    locality_benefit: f64,
+    duration_jitter: f64,
+    // Engine outputs reused across events so the loop allocates nothing per
+    // operation: a finish's cost and `[start, end)` span, and the tasks a
+    // finish or a creation readied.
+    fin_cost: Vec<Cycle>,
+    fin_span: Vec<(usize, usize)>,
+    ready: Vec<ReadyInfo>,
+    block_sets: BlockSets,
+}
+
+impl<'a, F: TaskFeed> Run<'a, F> {
+    /// A run at cycle 0 with one pending event per core.
+    fn new(
+        feed: F,
+        backend: &'a Backend,
+        scheduler: SchedulerKind,
+        config: &'a ExecConfig,
+    ) -> Self {
+        let num_cores = config.chip.num_cores;
+        let noc_round_trip = NocModel::from_chip(&config.chip).average_round_trip();
+        let (pool, push_cost, pick_cost) = if backend.hardware_scheduling() {
+            let hw = config.cost.hw_queue_op;
+            (SchedulerKind::Fifo.build(), hw, hw)
+        } else {
+            let cost = &config.cost;
+            (scheduler.build(), cost.sw_sched_push, cost.sw_sched_pick)
         };
-        events.schedule(*t, idle_core);
+        let mut events = EventQueue::new();
+        for core in 0..num_cores {
+            events.schedule(Cycle::ZERO, core);
+        }
+        Run {
+            engine: backend.build_engine(&config.cost, noc_round_trip),
+            pool,
+            events,
+            stats: SimStats::new(num_cores, MASTER),
+            locality: LocalityModel::new(num_cores, config.locality_capacity_bytes.max(1)),
+            fault_plan: config
+                .fault
+                .as_ref()
+                .map(|fc| FaultPlan::new(config.seed, fc.clone())),
+            fault: FaultState::new(num_cores),
+            driver: Driver {
+                running: vec![None; num_cores],
+                idle_since: vec![None; num_cores],
+                idle: IdleSet::new(num_cores),
+                next_create: 0,
+                finished: 0,
+                peak_resident: feed.resident(),
+                makespan: Cycle::ZERO,
+                master_throttled: false,
+            },
+            schedule: if config.trace_schedule {
+                Vec::with_capacity(feed.len_hint().unwrap_or(0))
+            } else {
+                Vec::new()
+            },
+            aborted: None,
+            window: config.window.max(1),
+            push_cost,
+            pick_cost,
+            locality_benefit: feed.locality_benefit(),
+            duration_jitter: feed.duration_jitter(),
+            fin_cost: Vec::new(),
+            fin_span: Vec::new(),
+            ready: Vec::new(),
+            block_sets: BlockSets::default(),
+            feed,
+            backend,
+            scheduler,
+            config,
+        }
+    }
+
+    /// The run a snapshot captured: a [`new`](Run::new) run with each
+    /// section written over its own state (the pending events replace the
+    /// seeded ones), then [`check`](Run::check)ed. The resume entry point
+    /// validated META and rebuilt `feed` from FEED.
+    fn restore(
+        feed: F,
+        backend: &'a Backend,
+        scheduler: SchedulerKind,
+        config: &'a ExecConfig,
+        snap: &Snapshot,
+    ) -> Result<Self, SnapshotError> {
+        let mut run = Run::new(feed, backend, scheduler, config);
+        run.driver = snapshot::from_payload(snap.section(section::DRIVER)?, "DRIVER")?;
+        run.events = snapshot::from_payload(snap.section(section::EVENTS)?, "EVENTS")?;
+        run.stats = snapshot::from_payload(snap.section(section::STATS)?, "STATS")?;
+        run.locality = snapshot::from_payload(snap.section(section::LOCALITY)?, "LOCALITY")?;
+        let mut r = Reader::new(snap.section(section::SCHEDULER)?);
+        run.pool.load_state(&mut r)?;
+        r.expect_end("SCHEDULER")?;
+        let mut r = Reader::new(snap.section(section::ENGINE)?);
+        run.engine.load_state(&mut r)?;
+        r.expect_end("ENGINE")?;
+        run.fault = snapshot::from_payload(snap.section(section::FAULT)?, "FAULT")?;
+        if config.trace_schedule {
+            run.schedule = snapshot::from_payload(snap.section(section::TRACE)?, "TRACE")?;
+        }
+        run.check()?;
+        Ok(run)
+    }
+
+    /// The complete run state as a [`Snapshot`], one section per subsystem
+    /// (the registry in [`tdm_sim::snapshot::SECTIONS`] and the layout in
+    /// `SNAPSHOT_FORMAT.md` describe each). Pure read: capture never mutates
+    /// the run, so checkpointed and plain runs stay bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the feed cannot be checkpointed, or if the state fails
+    /// [`check`](Run::check): a driver bug its own resume would refuse.
+    fn capture(&self) -> Snapshot {
+        if let Err(err) = self.check() {
+            panic!("checkpoint capture: {err}");
+        }
+        let config = self.config;
+        let meta = RunMeta {
+            feed_kind: FEED_STREAM,
+            workload: self.feed.name().to_string(),
+            backend: self.backend.clone(),
+            scheduler: self.scheduler,
+            num_cores: config.chip.num_cores as u64,
+            seed: config.seed,
+            locality_capacity_bytes: config.locality_capacity_bytes,
+            trace_schedule: config.trace_schedule,
+            window: config.window as u64,
+            retired_per_op: false,
+            cost_hash: debug_hash(&config.cost),
+            chip_hash: debug_hash(&config.chip),
+            fault_hash: debug_hash(&config.fault),
+        };
+        let feed_state = self
+            .feed
+            .save_state()
+            .expect("checkpointing requires a source with a checkpoint cursor");
+        let mut sched_state = Vec::new();
+        self.pool.save_state(&mut sched_state);
+        let mut engine_state = Vec::new();
+        self.engine.save_state(&mut engine_state);
+
+        let mut snap = Snapshot::new();
+        snap.add_section(section::META, snapshot::to_payload(&meta));
+        snap.add_section(section::DRIVER, snapshot::to_payload(&self.driver));
+        snap.add_section(section::EVENTS, snapshot::to_payload(&self.events));
+        snap.add_section(section::STATS, snapshot::to_payload(&self.stats));
+        snap.add_section(section::LOCALITY, snapshot::to_payload(&self.locality));
+        snap.add_section(section::SCHEDULER, sched_state);
+        snap.add_section(section::ENGINE, engine_state);
+        snap.add_section(section::FEED, feed_state);
+        snap.add_section(section::FAULT, snapshot::to_payload(&self.fault));
+        if config.trace_schedule {
+            snap.add_section(section::TRACE, snapshot::to_payload(&self.schedule));
+        }
+        snap
+    }
+
+    /// The consistency the run's sections owe each other. Each section's
+    /// per-core state, every pending event and the idle set fit the run's
+    /// cores. Each running, ready or retrying task was created, is held by
+    /// the feed and sits in one place only: the driver starts each ready or
+    /// retrying task on a core, and the engine panics finishing a task that
+    /// is not in flight. Restore refuses a snapshot that fails the check;
+    /// capture and the run's end panic instead.
+    fn check(&self) -> Result<(), SnapshotError> {
+        let num_cores = self.config.chip.num_cores;
+        let corrupt = |context: String| Err(SnapshotError::Corrupt { context });
+        let driver = &self.driver;
+        let stats = &self.stats;
+        if stats.cores.len() != num_cores || stats.master != MASTER {
+            return corrupt(format!(
+                "STATS section covers {} cores (master {}), expected {num_cores} \
+                 (master {MASTER})",
+                stats.cores.len(),
+                stats.master
+            ));
+        }
+        let driver_agrees = driver.idle_since.len() == num_cores
+            && driver.idle.words.len() == IdleSet::new(num_cores).words.len();
+        let cores = [
+            ("LOCALITY", self.locality.num_cores(), true),
+            ("DRIVER", driver.running.len(), driver_agrees),
+            ("FAULT", self.fault.num_cores(), true),
+        ];
+        if let Some((section, covered, _)) = cores
+            .into_iter()
+            .find(|&(_, covered, agrees)| covered != num_cores || !agrees)
+        {
+            return corrupt(format!(
+                "{section} section covers {covered} cores, expected {num_cores}"
+            ));
+        }
+        let mut pending = self.events.clone();
+        while let Some((_, core)) = pending.pop() {
+            if core >= num_cores && core != RETRY_EVENT {
+                return corrupt(format!(
+                    "EVENTS holds an event for core {core}, but the run has {num_cores} cores"
+                ));
+            }
+        }
+        let words = &driver.idle.words;
+        if let Some(core) =
+            (num_cores..words.len() * 64).find(|&core| words[core >> 6] & (1 << (core & 63)) != 0)
+        {
+            return corrupt(format!(
+                "DRIVER idle set holds core {core}, but the run has {num_cores} cores"
+            ));
+        }
+        let retries = self.fault.pending_retries().iter();
+        let mut placed: Vec<(TaskRef, &str, &str)> = driver
+            .running
+            .iter()
+            .flatten()
+            .map(|rt| (rt.task, "DRIVER", "running"))
+            .chain(self.pool.tasks().map(|task| (task, "SCHEDULER", "ready")))
+            .chain(retries.map(|retry| (retry.task, "FAULT", "due for retry")))
+            .collect();
+        if let Some((task, section, role)) = placed
+            .iter()
+            .find(|(task, _, _)| task.index() >= driver.next_create || !self.feed.holds(*task))
+        {
+            return corrupt(format!(
+                "{section} lists {task} as {role}, but FEED does not hold it in flight"
+            ));
+        }
+        placed.sort_unstable();
+        if let Some(pair) = placed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            let [(task, a, role_a), (_, b, role_b)] = [pair[0], pair[1]];
+            return corrupt(match (a == b, a) {
+                (true, "DRIVER") => format!("DRIVER lists {task} as running on two cores"),
+                (true, _) => format!("{a} lists {task} twice"),
+                (false, _) => format!("{task} is both {role_a} in {a} and {role_b} in {b}"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Drives the run to its end, handing a snapshot to `checkpoint`'s sink
+    /// at each capture point. Returns `None` only when the sink halts the
+    /// run. Fault injection aborting the run is a normal return
+    /// ([`RunOutcome::Aborted`]).
+    fn run(mut self, mut checkpoint: Option<CheckpointCtl<'_>>) -> Option<RunOutcome> {
+        // Same-cycle delivery: `pop_batch` drains every event of the earliest
+        // cycle, processed in FIFO order. Events scheduled *for the same cycle*
+        // while the batch runs form the next batch — exactly the position
+        // serial pops would have delivered them in (behind everything already
+        // pending), so the timeline is the one a pop-at-a-time loop produces.
+        let mut batch: Vec<usize> = Vec::new();
+        while let Some(now) = self.events.pop_batch(&mut batch) {
+            for &core in &batch {
+                if core == RETRY_EVENT {
+                    self.dispatch_retries(now);
+                    continue;
+                }
+                let mut t = self.complete(core, now);
+                if core == MASTER && self.create(&mut t) {
+                    continue;
+                }
+                self.start(core, t);
+            }
+
+            // Retry-budget exhaustion: the rest of the batch was processed
+            // normally (its bookkeeping is already committed), but no further
+            // cycle runs and no checkpoint is taken at the abort point.
+            if self.aborted.is_some() {
+                break;
+            }
+
+            // Periodic checkpoint capture, between batches: no per-operation
+            // scratch (the engine output buffers) is live here.
+            if let Some(ctl) = checkpoint.as_mut() {
+                if now >= ctl.next_at {
+                    ctl.next_at = now + ctl.every;
+                    if !(ctl.sink)(self.capture()) {
+                        return None;
+                    }
+                }
+            }
+        }
+        Some(self.into_outcome())
+    }
+
+    /// Phase 0, a retry event: re-issues every due entry of the retry queue
+    /// to the scheduling pool, in insertion order, and wakes idle cores to
+    /// pick them up. Re-issue itself is modeled free: the retry watchdog runs
+    /// off the critical path, and the backoff delay already charged the
+    /// latency.
+    fn dispatch_retries(&mut self, now: Cycle) {
+        let pool = &mut self.pool;
+        let dispatched = self.fault.drain_due(now, |task, num_successors| {
+            pool.push(ReadyEntry {
+                task,
+                num_successors,
+                creation_seq: task.index(),
+                ready_at: now,
+                producer_core: None,
+            });
+        });
+        self.wake_idle(dispatched, now);
+    }
+
+    /// Phase 1: the completion at `now` of the task `core` was running, if
+    /// any; returns the core's time after it. The completion boundary
+    /// decides transient failure (the task's result is lost, it must re-run)
+    /// and sticky core retirement (this completion is the core's last). Both
+    /// are pure draws keyed on stable identities, so the decisions are
+    /// identical across backends, schedulers and resume.
+    fn complete(&mut self, core: usize, now: Cycle) -> Cycle {
+        let Some(rt) = self.driver.running[core].take() else {
+            return now;
+        };
+        let mut t = now;
+        let completion = self.fault.record_completion(core);
+        let mut failed_under = None;
+        if let Some(plan) = &self.fault_plan {
+            if plan.should_fail(rt.task, self.fault.failure_count(rt.task)) {
+                failed_under = Some(plan);
+            } else {
+                // A finished task never runs again, so its failure count is
+                // never read: dropping it keeps the FAULT section bounded by
+                // the window.
+                self.fault.forget_failures(rt.task);
+            }
+            if core != MASTER && plan.should_retire(core, completion) {
+                self.fault.retire(core);
+            }
+        }
+        if let Some(plan) = failed_under {
+            // An injected failure: the task never finished, so dependents
+            // stay blocked, the window stays occupied and the master
+            // throttle is NOT reset. The core pays the fault-detection
+            // latency (the engine never sees the attempt), then the task is
+            // queued for re-issue after a linear backoff — or, past the
+            // retry budget, the run aborts at the end of this batch.
+            let cost = plan.config().detect_cost;
+            self.stats.cores[core].add(Phase::Deps, cost);
+            t += cost;
+            self.driver.makespan = self.driver.makespan.max(t);
+            let count = self.fault.record_failure(rt.task);
+            if count > plan.config().retry_budget {
+                self.aborted.get_or_insert((rt.task, count));
+            } else {
+                let due = t + plan.backoff_delay(count);
+                self.fault.push_retry(due, rt.task, rt.num_successors);
+                self.events.schedule(due, RETRY_EVENT);
+            }
+            return t;
+        }
+
+        self.fin_cost.clear();
+        self.fin_span.clear();
+        self.ready.clear();
+        self.engine.finish_batch(
+            now,
+            &[(rt.task, core)],
+            &mut self.fin_cost,
+            &mut self.ready,
+            &mut self.fin_span,
+        );
+        self.feed.release(rt.task);
+        let cost = self.fin_cost[0];
+        self.stats.cores[core].add(Phase::Deps, cost);
+        t += cost;
+        let driver = &mut self.driver;
+        // Any finish releases DMU resources and shrinks the in-flight
+        // window, so a throttled master may retry creation at its next
+        // opportunity.
+        driver.master_throttled = false;
+        driver.finished += 1;
+        driver.makespan = driver.makespan.max(t);
+        if self.config.trace_schedule {
+            self.schedule.push(ScheduledTask {
+                task: rt.task,
+                core,
+                finish: t,
+            });
+        }
+        let t = self.push_ready(Some(core), t);
+        // The finish may have readied tasks or freed DMU resources: make
+        // sure a throttled or idle master gets a chance to resume creation.
+        if core != MASTER
+            && !self.feed.exhausted(self.driver.next_create)
+            && self.driver.idle.remove(MASTER)
+        {
+            self.events.schedule(t, MASTER);
+        }
+        t
+    }
+
+    /// Phase 2: the master's creation attempt at `*t`, after its completion;
+    /// true when it created a task and scheduled itself for the next one.
+    ///
+    /// When a creation attempt stalls on a full DMU structure, or the
+    /// in-flight count reaches the configured window, the master does not
+    /// busy-wait: like a throttled runtime system it falls through to the
+    /// worker path, executes a task (or goes idle) and retries creation
+    /// after the next finish.
+    fn create(&mut self, t: &mut Cycle) -> bool {
+        let driver = &mut self.driver;
+        if driver.master_throttled || self.feed.exhausted(driver.next_create) {
+            return false;
+        }
+        if driver.next_create - driver.finished >= self.window {
+            driver.master_throttled = true;
+            return false;
+        }
+        self.ready.clear();
+        let task = TaskRef(driver.next_create);
+        let spec = self.feed.fetch(task.index());
+        let outcome = self.engine.create_task(*t, task, spec, &mut self.ready);
+        driver.peak_resident = driver.peak_resident.max(self.feed.resident());
+        self.stats.cores[MASTER].add(Phase::Deps, outcome.cost);
+        *t = self.push_ready(None, *t + outcome.cost);
+        if !outcome.completed {
+            self.driver.master_throttled = true;
+            return false;
+        }
+        self.driver.next_create += 1;
+        self.events.schedule(*t, MASTER);
+        true
+    }
+
+    /// Phase 3, worker behaviour at `t`: schedule and execute a ready task,
+    /// or go idle.
+    fn start(&mut self, core: usize, t: Cycle) {
+        let driver = &self.driver;
+        if self.feed.exhausted(driver.next_create) && driver.finished >= driver.next_create {
+            return;
+        }
+        // A retired core never takes new work and never joins the idle set
+        // (it cannot be woken). If ready work is pending, hand the wake-up
+        // to an idle survivor so the pool is never stranded on a core that
+        // just died.
+        if self.fault.is_retired(core) {
+            if !self.pool.is_empty() {
+                self.wake_idle(1, t);
+            }
+            return;
+        }
+        let Some(entry) = self.pool.pop(core) else {
+            let driver = &mut self.driver;
+            driver.idle_since[core].get_or_insert(t);
+            driver.idle.insert(core);
+            return;
+        };
+        let jitter = self.jitter_for(entry.task);
+        let driver = &mut self.driver;
+        let stats = &mut self.stats.cores[core];
+        if let Some(since) = driver.idle_since[core].take() {
+            stats.add(Phase::Idle, t.saturating_sub(since));
+        }
+        driver.idle.remove(core);
+        stats.add(Phase::Sched, self.pick_cost);
+        let t = t + self.pick_cost;
+
+        let spec = self.feed.spec(entry.task);
+        self.block_sets.fill(spec);
+        let hit_fraction = self
+            .locality
+            .probe(core, &self.block_sets.working)
+            .hit_fraction();
+        let locality_factor = 1.0 - self.locality_benefit * hit_fraction;
+        let duration = spec.duration.scaled_f64(locality_factor * jitter);
+        self.locality.record_reads(core, &self.block_sets.reads);
+        self.locality.record_writes(core, &self.block_sets.writes);
+
+        stats.add(Phase::Exec, duration);
+        driver.running[core] = Some(RunningTask {
+            task: entry.task,
+            num_successors: entry.num_successors,
+        });
+        self.events.schedule(t + duration, core);
+    }
+
+    /// Deterministic per-task duration jitter: the same task gets the same
+    /// duration regardless of scheduler or backend, so comparisons are fair.
+    fn jitter_for(&self, task: TaskRef) -> f64 {
+        if self.duration_jitter == 0.0 {
+            1.0
+        } else {
+            let seed = self.config.seed ^ (task.index() as u64).wrapping_mul(0x9E37);
+            SplitMix64::new(seed).jitter(self.duration_jitter)
+        }
+    }
+
+    /// Pushes the tasks in `self.ready` into the scheduling pool from `t` on
+    /// and wakes one idle core per task; returns the pushing core's time
+    /// after the pushes. The pushing core is `producer_core`, whose finish
+    /// readied them, or the master for tasks ready at creation.
+    fn push_ready(&mut self, producer_core: Option<usize>, mut t: Cycle) -> Cycle {
+        let stats = &mut self.stats.cores[producer_core.unwrap_or(MASTER)];
+        for info in &self.ready {
+            stats.add(Phase::Sched, self.push_cost);
+            t += self.push_cost;
+            self.pool.push(ReadyEntry {
+                task: info.task,
+                num_successors: info.num_successors,
+                creation_seq: info.task.index(),
+                ready_at: t,
+                producer_core,
+            });
+        }
+        self.wake_idle(self.ready.len(), t);
+        t
+    }
+
+    /// Wakes up to `count` idle cores at `at`, lowest-numbered first.
+    fn wake_idle(&mut self, count: usize, at: Cycle) {
+        for _ in 0..count {
+            let Some(core) = self.driver.idle.pop_min() else {
+                break;
+            };
+            self.events.schedule(at, core);
+        }
+    }
+
+    /// The report of a run whose event loop ended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if created tasks are left unfinished without an abort (a
+    /// dependence-engine deadlock), or if the state fails
+    /// [`check`](Run::check).
+    fn into_outcome(mut self) -> RunOutcome {
+        let driver = &self.driver;
+        let exhausted = self.feed.exhausted(driver.next_create);
+        assert!(
+            self.aborted.is_some() || (exhausted && driver.finished == driver.next_create),
+            "simulation ended with {} of {} created tasks finished (stream exhausted: \
+             {exhausted}) — dependence engine deadlock",
+            driver.finished,
+            driver.next_create
+        );
+        if let Err(err) = self.check() {
+            panic!("run end: {err}");
+        }
+        self.stats.makespan = driver.makespan;
+        self.stats.normalize_to_makespan();
+        let scheduler = if self.backend.hardware_scheduling() {
+            "HW-FIFO"
+        } else {
+            self.scheduler.name()
+        };
+        let report = RunReport {
+            workload: self.feed.name().to_string(),
+            backend: self.backend.name().to_string(),
+            scheduler: scheduler.to_string(),
+            stats: self.stats,
+            hardware: self.engine.hardware_report(),
+            tasks: driver.finished as u64,
+            peak_resident_tasks: driver.peak_resident,
+            faults_injected: self.fault.faults_injected,
+            retries: self.fault.retries,
+            retired_cores: self.fault.retired_cores(),
+            schedule: self.schedule,
+        };
+        match self.aborted {
+            Some((task, attempts)) => RunOutcome::Aborted {
+                task,
+                attempts,
+                report,
+            },
+            None => RunOutcome::Completed(report),
+        }
     }
 }
 
@@ -2162,6 +2161,37 @@ mod tests {
         (outcome, snaps)
     }
 
+    /// `snap` with `edit` applied to section `id`'s payload, re-encoded
+    /// through the binary container so every CRC is valid.
+    fn edited(snap: &Snapshot, id: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Snapshot {
+        let mut edited = snap.section(id).unwrap().to_vec();
+        edit(&mut edited);
+        let mut hostile = Snapshot::new();
+        for sid in snap.section_ids() {
+            let payload = if sid == id {
+                std::mem::take(&mut edited)
+            } else {
+                snap.section(sid).unwrap().to_vec()
+            };
+            hostile.add_section(sid, payload);
+        }
+        Snapshot::from_bytes(&hostile.to_bytes()).unwrap()
+    }
+
+    /// Asserts that resuming `w` from `snap` is refused as corrupt, with an
+    /// error naming each of `names`.
+    fn refused(w: &Workload, snap: &Snapshot, config: &ExecConfig, names: &[&str]) {
+        let err = resume_stream_outcome(&mut WorkloadSource::new(w), snap, config).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+        for name in names {
+            assert!(err.to_string().contains(name), "{name}: {err}");
+        }
+    }
+
+    fn driver_of(snap: &Snapshot) -> Driver {
+        snapshot::from_payload(snap.section(section::DRIVER).unwrap(), "DRIVER").unwrap()
+    }
+
     #[test]
     fn checkpointed_run_matches_plain_run_and_resumes_bit_exact() {
         let mut w = chains_workload(6, 8, 25.0);
@@ -2189,6 +2219,87 @@ mod tests {
             let resumed = resume_stream_outcome(&mut fresh, snap, &config).unwrap();
             assert_eq!(resumed, straight);
         }
+    }
+
+    /// Restore reads back every field capture writes, derived state
+    /// included (the Locality pool's per-core counts, the locality index,
+    /// the in-flight spans): capturing a freshly restored run reproduces the
+    /// snapshot byte for byte. Every backend × scheduler cell runs, one an
+    /// 8-entry DMU that stalls; alternate cells inject faults (30% transient,
+    /// 2% core retirement) under window 3, and every third traces.
+    #[test]
+    fn capture_after_restore_is_the_identity() {
+        let chip = ChipConfig::default();
+        let tasks = (0..72u64)
+            .map(|i| {
+                let block = |k: u64| 0x40_0000 + (k % 10) * 0x1_0000;
+                let deps = match i % 4 {
+                    0 => vec![DependenceSpec::output(block(i), 0x1_0000)],
+                    1 => vec![
+                        DependenceSpec::input(block(i + 3), 0x1_0000),
+                        DependenceSpec::inout(block(i), 0x1_0000),
+                    ],
+                    2 => vec![
+                        DependenceSpec::input(block(i + 1), 0x1_0000),
+                        DependenceSpec::input(block(i + 5), 0x1_0000),
+                        DependenceSpec::output(block(i + 7), 0x1_0000),
+                    ],
+                    _ => vec![DependenceSpec::input(block(i + 2), 0x1_0000)],
+                };
+                TaskSpec::new("mixed", chip.micros(10.0 + (i % 7) as f64 * 5.0), deps)
+            })
+            .collect();
+        let mut w = Workload::new("mixed", tasks);
+        w.locality_benefit = 0.2;
+        w.duration_jitter = 0.1;
+        let eight = DmuConfig {
+            tat_entries: 8,
+            tat_ways: 8,
+            dat_entries: 8,
+            dat_ways: 8,
+            successor_la_entries: 8,
+            dependence_la_entries: 8,
+            reader_la_entries: 8,
+            ..DmuConfig::default()
+        };
+        let backends = [
+            Backend::Software,
+            Backend::tdm_default(),
+            Backend::Carbon,
+            Backend::task_superscalar_default(),
+            Backend::Tdm(eight),
+        ];
+        let faults = FaultConfig::default()
+            .with_fault_rate(0.3)
+            .with_core_fault_rate(0.02);
+        let mut checked = 0;
+        let cells = backends
+            .iter()
+            .flat_map(|backend| SchedulerKind::all().into_iter().map(move |s| (backend, s)));
+        for (cell, (backend, scheduler)) in cells.enumerate() {
+            let mut config = small_chip(4).with_checkpoint_every(chip.micros(60.0));
+            if cell % 2 == 1 {
+                config = config.with_window(3).with_faults(faults.clone());
+            }
+            if cell % 3 == 0 {
+                config = config.with_trace_schedule();
+            }
+            let (_, snaps) = stream_checkpoints(&w, backend, scheduler, &config);
+            for (i, snap) in snaps.iter().enumerate() {
+                let meta = RunMeta::from_snapshot(snap).unwrap();
+                let mut source = WorkloadSource::new(&w);
+                let feed = StreamFeed::restore(&mut source, snap.section(section::FEED).unwrap());
+                let run = Run::restore(feed.unwrap(), &meta.backend, meta.scheduler, &config, snap);
+                let recaptured = run.unwrap().capture().to_bytes();
+                let name = backend.name();
+                assert!(
+                    recaptured == snap.to_bytes(),
+                    "cell {cell} ({name} / {scheduler:?}), checkpoint {i}"
+                );
+            }
+            checked += snaps.len();
+        }
+        assert!(checked >= 200, "only {checked} checkpoints");
     }
 
     #[test]
@@ -2245,29 +2356,20 @@ mod tests {
         let (_, snaps) =
             stream_checkpoints(&w, &Backend::tdm_default(), SchedulerKind::Fifo, &config);
         let snap = &snaps[0];
-        let refusal = |w: &Workload, snap: &Snapshot, config: &ExecConfig| {
-            resume_stream_outcome(&mut WorkloadSource::new(w), snap, config).unwrap_err()
-        };
 
         // Different seed: refused with an error naming the knob.
         let mut other = config.clone();
         other.seed = 7;
-        let err = refusal(&w, snap, &other);
-        assert!(err.to_string().contains("seed"), "{err}");
+        refused(&w, snap, &other, &["seed"]);
 
         // Different core count.
-        let err = refusal(
-            &w,
-            snap,
-            &small_chip(8).with_checkpoint_every(chip.micros(50.0)),
-        );
-        assert!(err.to_string().contains("cores"), "{err}");
+        let eight_cores = small_chip(8).with_checkpoint_every(chip.micros(50.0));
+        refused(&w, snap, &eight_cores, &["cores"]);
 
         // Different workload name.
         let mut renamed = w.clone();
         renamed.name = "other".to_string();
-        let err = refusal(&renamed, snap, &config);
-        assert!(err.to_string().contains("workload"), "{err}");
+        refused(&renamed, snap, &config, &["workload"]);
 
         // Hostile bytes in an otherwise valid container: byte `at` of
         // section `id` set to `byte`, each refused as corrupt with an error
@@ -2284,22 +2386,11 @@ mod tests {
             (section::ENGINE, 0, 1, "per-op"),
         ];
         for (id, at, byte, names) in hostile_cases {
-            let mut hostile = Snapshot::new();
-            for sid in snap.section_ids() {
-                let mut payload = snap.section(sid).unwrap().to_vec();
-                if sid == id {
-                    assert_ne!(payload[at], byte, "section {id:#04x} byte {at}");
-                    payload[at] = byte;
-                }
-                hostile.add_section(sid, payload);
-            }
-            let hostile = Snapshot::from_bytes(&hostile.to_bytes()).unwrap();
-            let err = refusal(&w, &hostile, &config);
-            assert!(
-                matches!(err, SnapshotError::Corrupt { .. }),
-                "section {id:#04x}: {err}"
-            );
-            assert!(err.to_string().contains(names), "section {id:#04x}: {err}");
+            let hostile = edited(snap, id, |payload| {
+                assert_ne!(payload[at], byte, "section {id:#04x} byte {at}");
+                payload[at] = byte;
+            });
+            refused(&w, &hostile, &config, &[names]);
         }
     }
 
@@ -2325,19 +2416,10 @@ mod tests {
             (1, cursor + 1, "not at the stream cursor"),
             (live_at, span.len() as u64 + 1, "live tasks but holds"),
         ] {
-            let mut hostile = Snapshot::new();
-            for sid in snap.section_ids() {
-                let mut payload = snap.section(sid).unwrap().to_vec();
-                if sid == section::FEED {
-                    payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
-                }
-                hostile.add_section(sid, payload);
-            }
-            let hostile = Snapshot::from_bytes(&hostile.to_bytes()).unwrap();
-            let err =
-                resume_stream_outcome(&mut WorkloadSource::new(&w), &hostile, &config).unwrap_err();
-            assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
-            assert!(err.to_string().contains(names), "{err}");
+            let hostile = edited(snap, section::FEED, |payload| {
+                payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            });
+            refused(&w, &hostile, &config, &[names]);
         }
     }
 
@@ -2349,37 +2431,19 @@ mod tests {
         let (_, snaps) =
             stream_checkpoints(&w, &Backend::tdm_default(), SchedulerKind::Fifo, &config);
         let snap = &snaps[0];
-        // Two u64 fields overwritten in place: the payload of EVENTS' first
-        // event (after the clock, the event count and that event's time),
-        // set to core 40, and the DRIVER idle word (after the `running` and
-        // `idle_since` vectors and the word count), set to bit 40 alone.
-        let driver = snap.section(section::DRIVER).unwrap();
-        let mut r = Reader::new(driver);
-        Vec::<Option<RunningTask>>::load(&mut r).unwrap();
-        Vec::<Option<Cycle>>::load(&mut r).unwrap();
-        let idle_word_at = driver.len() - r.remaining() + 8;
-        for (id, at, value, names) in [
-            (section::EVENTS, 24, 40u64, "EVENTS"),
-            (section::DRIVER, idle_word_at, 1u64 << 40, "DRIVER"),
-        ] {
-            let mut hostile = Snapshot::new();
-            for sid in snap.section_ids() {
-                let mut payload = snap.section(sid).unwrap().to_vec();
-                if sid == id {
-                    payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
-                }
-                hostile.add_section(sid, payload);
-            }
-            let hostile = Snapshot::from_bytes(&hostile.to_bytes()).unwrap();
-            let err =
-                resume_stream_outcome(&mut WorkloadSource::new(&w), &hostile, &config).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::Corrupt { .. }),
-                "section {id:#04x}: {err}"
-            );
-            assert!(err.to_string().contains(names), "{err}");
-            assert!(err.to_string().contains("core 40"), "{err}");
-        }
+        // The payload of EVENTS' first event (a u64 after the clock, the
+        // event count and that event's time) set to core 40.
+        let hostile = edited(snap, section::EVENTS, |payload| {
+            payload[24..32].copy_from_slice(&40u64.to_le_bytes());
+        });
+        refused(&w, &hostile, &config, &["EVENTS", "core 40"]);
+        // The DRIVER idle set holding core 40 alone.
+        let mut driver = driver_of(snap);
+        driver.idle.words[0] = 1 << 40;
+        let hostile = edited(snap, section::DRIVER, |payload| {
+            *payload = snapshot::to_payload(&driver);
+        });
+        refused(&w, &hostile, &config, &["DRIVER", "core 40"]);
     }
 
     #[test]
@@ -2390,38 +2454,18 @@ mod tests {
         for backend in [Backend::tdm_default(), Backend::Software] {
             let (_, snaps) = stream_checkpoints(&w, &backend, SchedulerKind::Fifo, &config);
             let snap = &snaps[0];
-            // DRIVER opens with the per-core running tasks; the rest of the
-            // section is kept byte for byte.
-            let driver = snap.section(section::DRIVER).unwrap();
-            let mut r = Reader::new(driver);
-            let running = Vec::<Option<RunningTask>>::load(&mut r).unwrap();
-            let rest = &driver[driver.len() - r.remaining()..];
-            let busy = running.iter().position(Option::is_some).unwrap();
+            let driver = driver_of(snap);
+            let busy = driver.running.iter().position(Option::is_some).unwrap();
             // Task 150 has not been created at the first checkpoint.
-            let mut uncreated = running.clone();
-            uncreated[busy].as_mut().unwrap().task = TaskRef(150);
-            let mut twice = running.clone();
-            twice[(busy + 1) % running.len()] = running[busy];
-            for (hostile_running, expected) in [(uncreated, "task#150"), (twice, "two cores")] {
-                let mut hostile = Snapshot::new();
-                for sid in snap.section_ids() {
-                    let mut payload = snap.section(sid).unwrap().to_vec();
-                    if sid == section::DRIVER {
-                        payload = snapshot::to_payload(&hostile_running);
-                        payload.extend_from_slice(rest);
-                    }
-                    hostile.add_section(sid, payload);
-                }
-                let hostile = Snapshot::from_bytes(&hostile.to_bytes()).unwrap();
-                let err = resume_stream_outcome(&mut WorkloadSource::new(&w), &hostile, &config)
-                    .unwrap_err();
-                let name = backend.name();
-                assert!(
-                    matches!(err, SnapshotError::Corrupt { .. }),
-                    "{name}: {err}"
-                );
-                assert!(err.to_string().contains("DRIVER"), "{name}: {err}");
-                assert!(err.to_string().contains(expected), "{name}: {err}");
+            let mut uncreated = driver.clone();
+            uncreated.running[busy].as_mut().unwrap().task = TaskRef(150);
+            let mut twice = driver.clone();
+            twice.running[(busy + 1) % driver.running.len()] = driver.running[busy];
+            for (hostile_driver, expected) in [(uncreated, "task#150"), (twice, "two cores")] {
+                let hostile = edited(snap, section::DRIVER, |payload| {
+                    *payload = snapshot::to_payload(&hostile_driver);
+                });
+                refused(&w, &hostile, &config, &["DRIVER", expected]);
             }
         }
     }
@@ -2433,18 +2477,7 @@ mod tests {
         let faulty = config
             .clone()
             .with_faults(FaultConfig::default().with_fault_rate(0.3));
-        // `snap` with section `id` replaced by `payload`, through the
-        // binary container.
-        let replaced = |snap: &Snapshot, id: u32, payload: Vec<u8>| {
-            let mut hostile = Snapshot::new();
-            for sid in snap.section_ids() {
-                let original = snap.section(sid).unwrap().to_vec();
-                hostile.add_section(sid, if sid == id { payload.clone() } else { original });
-            }
-            Snapshot::from_bytes(&hostile.to_bytes()).unwrap()
-        };
         for backend in [Backend::tdm_default(), Backend::Software] {
-            let name = backend.name();
             // The run's first checkpoint that `wanted` picks; the run halts
             // there.
             let first = |w: &Workload, config: &ExecConfig, wanted: &dyn Fn(&Snapshot) -> bool| {
@@ -2464,17 +2497,6 @@ mod tests {
                 );
                 found.expect("the run reaches a matching checkpoint")
             };
-            let refused = |w: &Workload, snap: &Snapshot, config: &ExecConfig, names: [&str; 2]| {
-                let err =
-                    resume_stream_outcome(&mut WorkloadSource::new(w), snap, config).unwrap_err();
-                assert!(
-                    matches!(err, SnapshotError::Corrupt { .. }),
-                    "{name}: {err}"
-                );
-                for expected in names {
-                    assert!(err.to_string().contains(expected), "{name}: {err}");
-                }
-            };
 
             // The FIFO pool's SCHEDULER payload is its entries in order.
             let w = independent_workload(200, 5.0);
@@ -2484,9 +2506,13 @@ mod tests {
             };
             let snap = &first(&w, &config, &|snap| !queued(snap).is_empty());
             let queued = queued(snap);
-            let mut r = Reader::new(snap.section(section::DRIVER).unwrap());
-            let running = Vec::<Option<RunningTask>>::load(&mut r).unwrap();
-            let busy = running.iter().flatten().next().unwrap().task;
+            let busy = driver_of(snap)
+                .running
+                .iter()
+                .flatten()
+                .next()
+                .unwrap()
+                .task;
             // Task 190 has not been created; the queued task is listed
             // twice; the running task is also queued.
             for (task, expected) in [
@@ -2500,8 +2526,10 @@ mod tests {
                     creation_seq: task.index(),
                     ..queued[0]
                 });
-                let hostile = replaced(snap, section::SCHEDULER, snapshot::to_payload(&pool));
-                refused(&w, &hostile, &config, ["SCHEDULER", expected]);
+                let hostile = edited(snap, section::SCHEDULER, |payload| {
+                    *payload = snapshot::to_payload(&pool);
+                });
+                refused(&w, &hostile, &config, &["SCHEDULER", expected]);
             }
 
             // Task 390 has not been created, and its retry falls due with an
@@ -2510,12 +2538,16 @@ mod tests {
             let fault = |snap: &Snapshot| -> FaultState {
                 snapshot::from_payload(snap.section(section::FAULT).unwrap(), "FAULT").unwrap()
             };
-            let snap = &first(&w, &faulty, &|snap| fault(snap).has_pending_retries());
+            let snap = &first(&w, &faulty, &|snap| {
+                !fault(snap).pending_retries().is_empty()
+            });
             let mut fault = fault(snap);
             let due = fault.pending_retries()[0].due;
             fault.push_retry(due, TaskRef(390), 0);
-            let hostile = replaced(snap, section::FAULT, snapshot::to_payload(&fault));
-            refused(&w, &hostile, &faulty, ["FAULT", "task#390"]);
+            let hostile = edited(snap, section::FAULT, |payload| {
+                *payload = snapshot::to_payload(&fault);
+            });
+            refused(&w, &hostile, &faulty, &["FAULT", "task#390"]);
         }
     }
 

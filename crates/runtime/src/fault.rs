@@ -116,12 +116,6 @@ impl FaultConfig {
         self
     }
 
-    /// Same configuration with the base backoff delay set.
-    pub fn with_backoff(mut self, backoff: Cycle) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
     /// Same configuration with the sticky core-fault rate set (clamped to
     /// `[0, 1]`).
     pub fn with_core_fault_rate(mut self, rate: f64) -> Self {
@@ -361,11 +355,6 @@ impl FaultState {
         });
     }
 
-    /// Whether any re-issues are still pending.
-    pub fn has_pending_retries(&self) -> bool {
-        !self.retry_queue.is_empty()
-    }
-
     /// The pending re-issues, in insertion order.
     pub(crate) fn pending_retries(&self) -> &[RetryEntry] {
         &self.retry_queue
@@ -514,7 +503,11 @@ mod tests {
 
     #[test]
     fn backoff_is_linear_in_failure_count() {
-        let p = FaultPlan::new(1, FaultConfig::default().with_backoff(Cycle::new(100)));
+        let config = FaultConfig {
+            backoff: Cycle::new(100),
+            ..FaultConfig::default()
+        };
+        let p = FaultPlan::new(1, config);
         assert_eq!(p.backoff_delay(1), Cycle::new(100));
         assert_eq!(p.backoff_delay(3), Cycle::new(300));
     }
@@ -530,11 +523,11 @@ mod tests {
         let n = state.drain_due(Cycle::new(100), |task, _| order.push(task));
         assert_eq!(n, 1);
         assert_eq!(order, vec![TaskRef(2)]);
-        assert!(state.has_pending_retries());
+        assert!(!state.pending_retries().is_empty());
         let n = state.drain_due(Cycle::new(500), |task, _| order.push(task));
         assert_eq!(n, 1);
         assert_eq!(order, vec![TaskRef(2), TaskRef(1)]);
-        assert!(!state.has_pending_retries());
+        assert!(state.pending_retries().is_empty());
         assert_eq!(state.retries, 2);
     }
 

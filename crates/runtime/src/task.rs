@@ -176,15 +176,6 @@ impl Workload {
         }
     }
 
-    /// Average number of declared dependences per task.
-    pub fn average_deps_per_task(&self) -> f64 {
-        if self.tasks.is_empty() {
-            0.0
-        } else {
-            self.tasks.iter().map(|t| t.deps.len()).sum::<usize>() as f64 / self.tasks.len() as f64
-        }
-    }
-
     /// Task specification for `task`.
     ///
     /// # Panics
@@ -292,7 +283,6 @@ mod tests {
         assert!(!w.is_empty());
         assert_eq!(w.total_work(), Cycle::new(3000));
         assert_eq!(w.average_duration(), Cycle::new(1500));
-        assert!((w.average_deps_per_task() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -310,6 +300,5 @@ mod tests {
         let w = Workload::new("empty", vec![]);
         assert!(w.is_empty());
         assert_eq!(w.average_duration(), Cycle::ZERO);
-        assert_eq!(w.average_deps_per_task(), 0.0);
     }
 }

@@ -231,11 +231,6 @@ impl Frequency {
         Cycle::new((nanos * 1e-9 * self.hz).round() as u64)
     }
 
-    /// Number of cycles in `secs` seconds, rounded to the nearest cycle.
-    pub fn cycles_from_secs(self, secs: f64) -> Cycle {
-        Cycle::new((secs * self.hz).round() as u64)
-    }
-
     /// Wall-clock microseconds represented by `cycles`.
     pub fn micros_from_cycles(self, cycles: Cycle) -> f64 {
         cycles.as_f64() / self.hz * 1e6
@@ -352,7 +347,6 @@ mod tests {
     fn frequency_nanos_and_secs() {
         let f = Frequency::ghz(2.0);
         assert_eq!(f.cycles_from_nanos(1.0), Cycle::new(2));
-        assert_eq!(f.cycles_from_secs(1.0), Cycle::new(2_000_000_000));
         assert!((f.secs_from_cycles(Cycle::new(2_000_000_000)) - 1.0).abs() < 1e-12);
     }
 

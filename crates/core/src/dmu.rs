@@ -32,7 +32,7 @@ use crate::access::{AccessCounter, DmuStructure};
 use crate::alias::{AliasError, AliasTable};
 use crate::config::{DmuConfig, IndexPolicy};
 use crate::ids::{DepAddr, DepDirection, DepId, DescriptorAddr, TaskId};
-use crate::list_array::ListArray;
+use crate::list_array::{ListArray, ListHandle, Walk};
 use crate::tables::{DepEntry, DependenceTable, TaskEntry, TaskTable};
 
 /// Index-bit position used for the TAT. Task descriptors are small heap
@@ -213,9 +213,8 @@ pub struct Dmu {
     /// Highest Ready Queue occupancy so far.
     ready_peak: usize,
     stats: DmuStats,
-    /// Reusable scratch for the `add_dependence` pre-check: per-target
-    /// successor-list push counts, so no allocation happens per operation.
-    req_scratch: Vec<(TaskId, u32)>,
+    /// Host-only bookkeeping over the reader lists (see [`ReaderIndex`]).
+    index: ReaderIndex,
 }
 
 impl Dmu {
@@ -245,7 +244,7 @@ impl Dmu {
             ready: VecDeque::with_capacity(config.ready_queue_entries().min(4096)),
             ready_peak: 0,
             stats: DmuStats::default(),
-            req_scratch: Vec::new(),
+            index: ReaderIndex::default(),
             config,
         }
     }
@@ -331,6 +330,7 @@ impl Dmu {
             Err(AliasError::Exhausted) => return Err(self.stall(StallReason::TatExhausted)),
         };
         accesses.touch(DmuStructure::Tat);
+        self.index.add_task(id);
 
         let successor_list = self.sla.alloc_list().expect("pre-checked SLA space");
         accesses.touch(DmuStructure::SuccessorLa);
@@ -379,6 +379,7 @@ impl Dmu {
         let reader_list = self.rla.alloc_list().expect("pre-checked RLA space");
         accesses.touch(DmuStructure::ReaderLa);
         let id = DepId::new(raw);
+        self.index.add_dependence(id);
         self.deps.insert(
             id,
             DepEntry {
@@ -400,58 +401,71 @@ impl Dmu {
     /// also sits in the reader list, or a task registered as reader twice),
     /// and earlier pushes fill the tail entry that a per-push
     /// `push_needs_new_entry` probe against pre-operation state would still
-    /// see as free. `succ_pushes` is caller-provided scratch.
+    /// see as free.
     fn add_dependence_requirements(
-        &self,
+        &mut self,
         task: TaskId,
         dep: Option<DepId>,
         dir: DepDirection,
-        succ_pushes: &mut Vec<(TaskId, u32)>,
     ) -> (usize, usize, usize) {
-        fn bump(pushes: &mut Vec<(TaskId, u32)>, target: TaskId) {
-            if let Some(entry) = pushes.iter_mut().find(|entry| entry.0 == target) {
-                entry.1 += 1;
-            } else {
-                pushes.push((target, 1));
-            }
-        }
-
-        succ_pushes.clear();
-        let mut needed_rla = 0;
         let needed_dla = usize::from(
             self.dla
                 .push_needs_new_entry(self.tasks.row(task).dependence_list),
         );
-
-        if let Some(dep_id) = dep {
-            let entry = self.deps.row(dep_id);
-            if let Some(writer) = entry.last_writer.filter(|&writer| writer != task) {
-                bump(succ_pushes, writer);
-            }
-            if dir.writes() {
-                for reader_raw in self.rla.iter(entry.reader_list) {
-                    let reader = TaskId::new(reader_raw);
-                    if reader == task {
-                        continue;
-                    }
-                    bump(succ_pushes, reader);
-                }
-            } else if self.rla.push_needs_new_entry(entry.reader_list) {
-                needed_rla += 1;
-            }
-        } else {
-            // Brand-new dependence: empty reader list, the task will be its
-            // first reader or writer; a read needs one RLA slot which the
-            // fresh head entry always provides.
+        // A brand-new dependence has an empty reader list, and a read needs
+        // the one slot its fresh head entry always provides.
+        let Some(dep_id) = dep else {
+            return (0, needed_dla, 0);
+        };
+        let DepEntry {
+            last_writer,
+            reader_list,
+            ..
+        } = *self.deps.row(dep_id);
+        let writer = last_writer.filter(|&writer| writer != task);
+        let successor_list = |target: TaskId| self.tasks.row(target).successor_list;
+        if !dir.writes() {
+            let needed_sla =
+                writer.map_or(0, |w| self.sla.new_entries_for_pushes(successor_list(w), 1));
+            let needed_rla = usize::from(self.rla.push_needs_new_entry(reader_list));
+            return (needed_sla, needed_dla, needed_rla);
         }
-        let needed_sla = succ_pushes
-            .iter()
-            .map(|&(target, pushes)| {
+        // A write pushes once per reader and once for the last writer, and
+        // each push chains at most one entry: with more free entries than
+        // readers, the exact count cannot stall, so it is not made.
+        if self.sla.free_entries() > self.rla.len(reader_list) {
+            #[cfg(test)]
+            {
+                self.index.paths.precheck_skipped += 1;
+            }
+            return (0, needed_dla, 0);
+        }
+        #[cfg(test)]
+        {
+            self.index.paths.precheck_exact += 1;
+        }
+        let readers = self.rla.iter(reader_list).map(TaskId::new);
+        let index = &mut self.index;
+        for target in writer
+            .into_iter()
+            .chain(readers.filter(|&reader| reader != task))
+        {
+            let pushes = &mut index.tasks[target.index()].pending_pushes;
+            if *pushes == 0 {
+                index.push_targets.push(target);
+            }
+            *pushes += 1;
+        }
+        let needed_sla = index
+            .push_targets
+            .drain(..)
+            .map(|target| {
+                let pushes = std::mem::take(&mut index.tasks[target.index()].pending_pushes);
                 self.sla
-                    .new_entries_for_pushes(self.tasks.row(target).successor_list, pushes as usize)
+                    .new_entries_for_pushes(successor_list(target), pushes as usize)
             })
             .sum();
-        (needed_sla, needed_dla, needed_rla)
+        (needed_sla, needed_dla, 0)
     }
 
     /// `add_dependence(task_desc, dep_addr, size, direction)`: Algorithm 1.
@@ -552,10 +566,8 @@ impl Dmu {
         // entry (an empty dependence entry is harmless and will be reused by
         // the retry).
         let existing = self.dat.lookup(addr.raw(), size).map(DepId::new);
-        let mut scratch = std::mem::take(&mut self.req_scratch);
         let (needed_sla, needed_dla, needed_rla) =
-            self.add_dependence_requirements(task, existing, dir, &mut scratch);
-        self.req_scratch = scratch;
+            self.add_dependence_requirements(task, existing, dir);
         if self.sla.free_entries() < needed_sla {
             return Err(self.stall(StallReason::SuccessorLaFull));
         }
@@ -606,6 +618,8 @@ impl Dmu {
             }
             let flush_walk = self.rla.flush(reader_list);
             accesses.record(DmuStructure::ReaderLa, flush_walk.entries_touched);
+            self.index.invalidate(dep);
+            self.index.register(task, Registration::absent(dep));
             self.deps.row_mut(dep).last_writer = Some(task);
             accesses.touch(DmuStructure::DependenceTable);
         } else {
@@ -615,6 +629,13 @@ impl Dmu {
                 .push(reader_list, task.raw())
                 .expect("pre-checked RLA space");
             accesses.record(DmuStructure::ReaderLa, walk.entries_touched);
+            let registration = Registration {
+                entry: self.rla.tail_entry(reader_list) as u32,
+                position: walk.entries_touched as u32,
+                generation: self.index.generations[dep.index()],
+                ..Registration::absent(dep)
+            };
+            self.index.register(task, registration);
         }
 
         self.stats.add_dependences += 1;
@@ -740,20 +761,31 @@ impl Dmu {
             self.push_ready(succ);
         }
 
-        // Second loop: detach from dependences and free dead ones (walking
-        // the dependence list in place; it mutates only the reader list
-        // array, the dependence table and the DAT).
+        // Second loop: detach from dependences and free dead ones. The
+        // task's registrations mirror its dependence list element for
+        // element, so the loop walks them instead; each says where the
+        // reader-list removal finds the task, so only a task that names one
+        // dependence twice searches its reader list.
         accesses.record(
             DmuStructure::DependenceLa,
             self.dla.entries_spanned(dependence_list),
         );
-        for dep_raw in self.dla.iter(dependence_list) {
-            let dep = DepId::new(dep_raw);
+        let mut registrations = std::mem::take(&mut self.index.tasks[task.index()].registrations);
+        debug_assert!(
+            self.dla
+                .iter(dependence_list)
+                .eq(registrations.iter().map(|r| r.dep.raw())),
+            "registrations of {task} out of sync with its dependence list"
+        );
+        for registration in &registrations {
+            let dep = registration.dep;
             let Some(&entry) = self.deps.get(dep) else {
                 // Already freed via an earlier duplicate in this task's list.
                 continue;
             };
-            let (_, walk) = self.rla.remove(entry.reader_list, task.raw());
+            let walk =
+                self.index
+                    .remove_reader(&mut self.rla, entry.reader_list, task, registration);
             accesses.record(DmuStructure::ReaderLa, walk.entries_touched);
 
             accesses.touch(DmuStructure::DependenceTable);
@@ -765,10 +797,13 @@ impl Dmu {
                 accesses.touch(DmuStructure::DependenceTable);
                 self.dat.remove(entry.addr.raw(), entry.size);
                 accesses.touch(DmuStructure::Dat);
+                self.index.invalidate(dep);
             } else if entry.last_writer == Some(task) {
                 self.deps.row_mut(dep).last_writer = None;
             }
         }
+        registrations.clear();
+        self.index.tasks[task.index()].registrations = registrations;
 
         // Free the task's own resources.
         let walk = self.sla.free_list(successor_list);
@@ -843,18 +878,108 @@ impl Dmu {
             ("dependence list array", list(&self.dla), (c.dependence_la_entries, elems)),
             ("reader list array", list(&self.rla), (c.reader_la_entries, elems)),
         ];
-        match structures
+        if let Some((name, restored, built)) = structures
+            .into_iter()
+            .find(|(_, restored, built)| restored != built)
+        {
+            return Err(SnapshotError::Corrupt {
+                context: format!(
+                    "DMU {name} has (entries, ways or elements per entry) {restored:?}, but \
+                     the DMU configuration builds {built:?}"
+                ),
+            });
+        }
+        let tat_policy = IndexPolicy::Static {
+            low_bit: TAT_INDEX_LOW_BIT,
+        };
+        let policies = [
+            ("TAT", self.tat.policy(), tat_policy),
+            ("DAT", self.dat.policy(), c.index_policy),
+        ];
+        match policies
             .into_iter()
             .find(|(_, restored, built)| restored != built)
         {
             Some((name, restored, built)) => Err(SnapshotError::Corrupt {
                 context: format!(
-                    "DMU {name} has (entries, ways or elements per entry) {restored:?}, but \
-                     the DMU configuration builds {built:?}"
+                    "DMU {name} has index policy {restored:?}, but the DMU configuration \
+                     builds {built:?}"
                 ),
             }),
             None => Ok(()),
         }
+    }
+
+    /// Refuses a restored live row whose list handle is not a head of the
+    /// matching list array, or is one that another row already owns: every
+    /// walk from that handle would run through another list's entries.
+    fn check_list_heads(&self) -> Result<(), SnapshotError> {
+        let (mut sla, mut dla, mut rla) = (self.sla.heads(), self.dla.heads(), self.rla.heads());
+        let refuse = |row: String, list: &str| {
+            Err(SnapshotError::Corrupt {
+                context: format!("DMU {row} has a {list} that is not a list head of its own"),
+            })
+        };
+        for task in (0..self.tasks.capacity()).map(|raw| TaskId::new(raw as u32)) {
+            let Some(row) = self.tasks.get(task) else {
+                continue;
+            };
+            if !sla.claim(row.successor_list) {
+                return refuse(format!("task table row {task}"), "successor list");
+            }
+            if !dla.claim(row.dependence_list) {
+                return refuse(format!("task table row {task}"), "dependence list");
+            }
+        }
+        for dep in (0..self.deps.capacity()).map(|raw| DepId::new(raw as u32)) {
+            if let Some(row) = self.deps.get(dep) {
+                if !rla.claim(row.reader_list) {
+                    return refuse(format!("dependence table row {dep}"), "reader list");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Derives the host-only [`ReaderIndex`] from the restored lists: each
+    /// live task's registrations from its dependence list, then each reader
+    /// list's elements locate the registrations they belong to.
+    fn rebuild_index(&mut self) {
+        let mut index = ReaderIndex::default();
+        for task in (0..self.tasks.capacity()).map(|raw| TaskId::new(raw as u32)) {
+            if let Some(row) = self.tasks.get(task) {
+                index.add_task(task);
+                for dep in self.dla.iter(row.dependence_list) {
+                    index.register(task, Registration::absent(DepId::new(dep)));
+                }
+            }
+        }
+        for dep in (0..self.deps.capacity()).map(|raw| DepId::new(raw as u32)) {
+            let Some(row) = self.deps.get(dep) else {
+                continue;
+            };
+            index.add_dependence(dep);
+            for ((entry, readers), position) in self.rla.entries(row.reader_list).zip(1..) {
+                for &reader in readers {
+                    // The first occurrence of a reader is the one a removal
+                    // finds; a task naming the dependence twice walks anyway.
+                    let unlocated = index.tasks.get_mut(reader as usize).and_then(|t| {
+                        t.registrations.iter_mut().find(|r| {
+                            r.dep == dep && !r.repeated && r.entry == Registration::ABSENT
+                        })
+                    });
+                    if let Some(registration) = unlocated {
+                        registration.entry = entry as u32;
+                        registration.position = position;
+                        #[cfg(test)]
+                        {
+                            index.paths.rebuilt += 1;
+                        }
+                    }
+                }
+            }
+        }
+        self.index = index;
     }
 
     /// Refuses a restored Ready Queue that the Task Table contradicts: each
@@ -887,6 +1012,177 @@ impl Dmu {
     }
 }
 
+/// Where one element of a task's dependence list left the task in the
+/// Reader List Array. Host-only: the hardware walks the reader list to find
+/// the task, and this record says where that walk ends.
+#[derive(Debug, Clone, Copy)]
+struct Registration {
+    /// The dependence the element names.
+    dep: DepId,
+    /// The RLA entry holding the task, or [`Registration::ABSENT`] for an
+    /// element that registered no reader (a write).
+    entry: u32,
+    /// That entry's chain position: the entries a walk from the head
+    /// touches to find the task.
+    position: u32,
+    /// The dependence's generation when the task registered. A flush of the
+    /// reader list or a free of the dependence moves it on, and with it
+    /// every registration recorded before.
+    generation: u32,
+    /// The task names `dep` more than once, so the first occurrence a
+    /// removal must hit may be another element's: removal walks instead.
+    repeated: bool,
+}
+
+impl Registration {
+    const ABSENT: u32 = u32::MAX;
+
+    /// An element whose task is not in `dep`'s reader list.
+    fn absent(dep: DepId) -> Self {
+        Registration {
+            dep,
+            entry: Self::ABSENT,
+            position: 0,
+            generation: 0,
+            repeated: false,
+        }
+    }
+}
+
+/// Host-only state the DMU keeps per task ID.
+#[derive(Debug, Clone, Default)]
+struct TaskIndex {
+    /// One registration per element of the task's dependence list, in list
+    /// order. Empty while the ID is not in flight.
+    registrations: Vec<Registration>,
+    /// Successor-list pushes an exact writer pre-check has counted for the
+    /// task so far; zero between operations.
+    pending_pushes: u32,
+}
+
+/// Host-only bookkeeping that lets the model find what a reader-list walk
+/// finds without repeating the walk; the modeled walk counts are unchanged.
+/// Sized by the task and dependence IDs in use, never persisted, and rebuilt
+/// from the persisted lists by [`Dmu::load`].
+#[derive(Debug, Clone, Default)]
+struct ReaderIndex {
+    /// Per task ID.
+    tasks: Vec<TaskIndex>,
+    /// Per dependence ID, moved on by a flush of its reader list or a free of
+    /// the dependence.
+    generations: Vec<u32>,
+    /// The tasks with nonzero `pending_pushes`, in the order first counted.
+    push_targets: Vec<TaskId>,
+    /// How often each host path ran, for the lockstep tests.
+    #[cfg(test)]
+    paths: IndexPaths,
+}
+
+/// Counts of the [`ReaderIndex`] paths taken, so a test can show it drove
+/// every one.
+#[cfg(test)]
+#[derive(Debug, Clone, Default)]
+struct IndexPaths {
+    precheck_skipped: u64,
+    precheck_exact: u64,
+    found: u64,
+    flushed: u64,
+    ids_reused: u64,
+    repeated: u64,
+    rebuilt: u64,
+}
+
+#[cfg(test)]
+impl IndexPaths {
+    fn add(&mut self, other: &IndexPaths) {
+        self.precheck_skipped += other.precheck_skipped;
+        self.precheck_exact += other.precheck_exact;
+        self.found += other.found;
+        self.flushed += other.flushed;
+        self.ids_reused += other.ids_reused;
+        self.repeated += other.repeated;
+        self.rebuilt += other.rebuilt;
+    }
+}
+
+impl ReaderIndex {
+    /// Makes room for a task created with ID `task`.
+    fn add_task(&mut self, task: TaskId) {
+        if self.tasks.len() <= task.index() {
+            self.tasks.resize_with(task.index() + 1, TaskIndex::default);
+        }
+        debug_assert!(self.tasks[task.index()].registrations.is_empty());
+    }
+
+    /// Makes room for a dependence created with ID `dep`.
+    fn add_dependence(&mut self, dep: DepId) {
+        if self.generations.len() <= dep.index() {
+            self.generations.resize(dep.index() + 1, 0);
+        } else {
+            #[cfg(test)]
+            {
+                self.paths.ids_reused += 1;
+            }
+        }
+    }
+
+    /// Appends the registration of `task`'s newest dependence-list element,
+    /// marking every element of the task that names the same dependence.
+    fn register(&mut self, task: TaskId, mut registration: Registration) {
+        let registrations = &mut self.tasks[task.index()].registrations;
+        for earlier in registrations
+            .iter_mut()
+            .filter(|earlier| earlier.dep == registration.dep)
+        {
+            earlier.repeated = true;
+            registration.repeated = true;
+        }
+        registrations.push(registration);
+    }
+
+    /// Forgets every registration recorded against `dep` so far.
+    fn invalidate(&mut self, dep: DepId) {
+        let generation = &mut self.generations[dep.index()];
+        *generation = generation.wrapping_add(1);
+    }
+
+    /// Removes `task` from the reader list `list` of its registration's
+    /// dependence, returning the walk a linear search from the head makes.
+    fn remove_reader(
+        &mut self,
+        rla: &mut ListArray,
+        list: ListHandle,
+        task: TaskId,
+        registration: &Registration,
+    ) -> Walk {
+        if registration.repeated {
+            #[cfg(test)]
+            {
+                self.paths.repeated += 1;
+            }
+            return rla.remove(list, task.raw()).1;
+        }
+        let current = self.generations[registration.dep.index()];
+        if registration.entry == Registration::ABSENT || registration.generation != current {
+            #[cfg(test)]
+            {
+                self.paths.flushed += u64::from(registration.entry != Registration::ABSENT);
+            }
+            return rla.remove_absent(list, task.raw());
+        }
+        #[cfg(test)]
+        {
+            self.paths.found += 1;
+        }
+        rla.remove_located(
+            list,
+            registration.entry as usize,
+            u64::from(registration.position),
+            task.raw(),
+        )
+    }
+}
+
 /// Peak occupancy of every DMU structure over a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PeakOccupancy {
@@ -910,8 +1206,8 @@ pub struct PeakOccupancy {
 
 // Snapshot support: the full DMU state — geometry, both alias tables, the
 // task/dependence tables, the list arrays, the ready queue and its peak, and the
-// operation counters. `req_scratch` is per-operation scratch (always empty
-// between operations) and is rebuilt empty on load.
+// operation counters. The host-only `ReaderIndex` is never written: load
+// rebuilds it from the lists.
 use tdm_sim::snapshot::{Persist, Reader, SnapshotError};
 
 impl Persist for DmuStats {
@@ -952,7 +1248,7 @@ impl Persist for Dmu {
         self.stats.save(out);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let dmu = Dmu {
+        let mut dmu = Dmu {
             config: DmuConfig::load(r)?,
             tat: AliasTable::load(r)?,
             dat: AliasTable::load(r)?,
@@ -964,10 +1260,12 @@ impl Persist for Dmu {
             ready: VecDeque::load(r)?,
             ready_peak: usize::load(r)?,
             stats: DmuStats::load(r)?,
-            req_scratch: Vec::new(),
+            index: ReaderIndex::default(),
         };
         dmu.check_geometry()?;
+        dmu.check_list_heads()?;
         dmu.check_ready_queue()?;
+        dmu.rebuild_index();
         Ok(dmu)
     }
 }
@@ -1550,19 +1848,25 @@ mod tests {
         let mut reader = Reader::new(&bytes);
         let mut restored = Dmu::load(&mut reader).expect("snapshot must load");
         reader.expect_end("dmu").unwrap();
-        assert_eq!(format!("{dmu:?}"), format!("{restored:?}"));
+        // The persisted state round-trips byte for byte; the host-only
+        // reader index is rebuilt, not copied, so it is not compared here.
+        let mut again = Vec::new();
+        restored.save(&mut again);
+        assert_eq!(bytes, again);
 
-        // Both copies must behave identically from here on.
-        for copy in [&mut dmu, &mut restored] {
-            copy.finish_task(first).unwrap();
-            let mut order = Vec::new();
-            while let Some(t) = copy.get_ready_task().value {
-                order.push(t.descriptor);
-                copy.finish_task(t.descriptor).unwrap();
-            }
-            assert_eq!(order, vec![desc(1), desc(2)]);
-            assert!(copy.is_drained());
+        // Both copies must behave identically from here on: every result,
+        // access counter included, until both drain.
+        let mut next = Some(first);
+        let mut order = Vec::new();
+        while let Some(d) = next {
+            assert_eq!(dmu.finish_task(d), restored.finish_task(d));
+            let (a, b) = (dmu.get_ready_task(), restored.get_ready_task());
+            assert_eq!(a, b);
+            next = a.value.map(|t| t.descriptor);
+            order.extend(next);
         }
+        assert_eq!(order, vec![desc(1), desc(2)]);
+        assert!(dmu.is_drained() && restored.is_drained());
         assert_eq!(dmu.stats(), restored.stats());
     }
 
@@ -1607,6 +1911,93 @@ mod tests {
             restore(&hostile),
             Err(SnapshotError::Corrupt { context }) if context.contains("records a peak of 0")
         ));
+    }
+
+    /// A list handle from its raw head index, as a snapshot carries it.
+    fn handle(idx: usize) -> ListHandle {
+        let bytes = tdm_sim::snapshot::to_payload(&idx);
+        ListHandle::load(&mut Reader::new(&bytes)).unwrap()
+    }
+
+    /// Each live row must own a distinct head of its list array: a handle
+    /// into another row's list, a chain's continuation entry or a free entry
+    /// would send every walk from it through lists it does not own.
+    #[test]
+    fn load_refuses_a_row_whose_list_is_not_its_own_head() {
+        let mut dmu = Dmu::new(small_config());
+        // Task 0 names five blocks, so its dependence list spans two
+        // 4-slot entries.
+        let deps: Vec<_> = (0..5).map(|i| (block(i), DepDirection::In)).collect();
+        spawn(&mut dmu, desc(0), &deps);
+        spawn(&mut dmu, desc(1), &[(block(0), DepDirection::Out)]);
+        let restore = |dmu: &Dmu| {
+            let mut bytes = Vec::new();
+            dmu.save(&mut bytes);
+            Dmu::load(&mut Reader::new(&bytes))
+        };
+        assert!(restore(&dmu).is_ok());
+        let continuation = dmu
+            .dla
+            .tail_entry(dmu.tasks.row(TaskId::new(0)).dependence_list);
+        type Edit = fn(&mut Dmu, usize);
+        let cases: [(Edit, &str); 3] = [
+            (
+                |d, _| {
+                    d.tasks.row_mut(TaskId::new(1)).successor_list =
+                        d.tasks.row(TaskId::new(0)).successor_list
+                },
+                "task table row T1 has a successor list",
+            ),
+            (
+                |d, continuation| {
+                    d.tasks.row_mut(TaskId::new(1)).dependence_list = handle(continuation)
+                },
+                "task table row T1 has a dependence list",
+            ),
+            (
+                |d, _| d.deps.row_mut(DepId::new(0)).reader_list = handle(63),
+                "dependence table row D0 has a reader list",
+            ),
+        ];
+        for (edit, problem) in cases {
+            let mut hostile = dmu.clone();
+            edit(&mut hostile, continuation);
+            match restore(&hostile) {
+                Err(SnapshotError::Corrupt { context }) => assert!(
+                    context.contains(problem) && context.contains("not a list head of its own"),
+                    "{context}"
+                ),
+                other => panic!("{problem}: expected a corrupt list head, got {other:?}"),
+            }
+        }
+    }
+
+    /// Each alias table must index its sets as the configuration builds
+    /// it: the TAT by `TAT_INDEX_LOW_BIT`, the DAT by `index_policy`.
+    #[test]
+    fn load_refuses_alias_tables_with_another_index_policy() {
+        type Edit = fn(&mut Dmu);
+        let cases: [(&str, Edit); 2] = [
+            ("TAT", |d| {
+                d.tat = AliasTable::new(64, 8, IndexPolicy::Dynamic)
+            }),
+            ("DAT", |d| {
+                d.dat = AliasTable::new(64, 8, IndexPolicy::Static { low_bit: 6 })
+            }),
+        ];
+        for (name, edit) in cases {
+            let mut hostile = Dmu::new(small_config());
+            edit(&mut hostile);
+            let mut bytes = Vec::new();
+            hostile.save(&mut bytes);
+            match Dmu::load(&mut Reader::new(&bytes)) {
+                Err(SnapshotError::Corrupt { context }) => assert!(
+                    context.contains(&format!("DMU {name} has index policy")),
+                    "{context}"
+                ),
+                other => panic!("{name}: expected a corrupt index policy, got {other:?}"),
+            }
+        }
     }
 
     /// Every structure a DMU restores must have the geometry its own
@@ -2145,6 +2536,8 @@ mod dmu_lockstep {
         naive: NaiveDmu,
         woken_dmu: Vec<TaskId>,
         woken_naive: Vec<TaskId>,
+        /// Reader-index paths taken by the DMUs that round trips replaced.
+        replaced_paths: IndexPaths,
     }
 
     impl LockstepRig {
@@ -2154,7 +2547,28 @@ mod dmu_lockstep {
                 dmu: Dmu::new(config),
                 woken_dmu: Vec::new(),
                 woken_naive: Vec::new(),
+                replaced_paths: IndexPaths::default(),
             }
+        }
+
+        /// Replaces the DMU with one saved and loaded mid-run; the run goes
+        /// on in lockstep with the naive model, which is not touched.
+        fn round_trip(&mut self) {
+            let mut bytes = Vec::new();
+            self.dmu.save(&mut bytes);
+            let restored = Dmu::load(&mut Reader::new(&bytes)).expect("snapshot must load");
+            let mut again = Vec::new();
+            restored.save(&mut again);
+            assert_eq!(bytes, again, "the restored DMU saves other bytes");
+            let old = std::mem::replace(&mut self.dmu, restored);
+            self.replaced_paths.add(&old.index.paths);
+        }
+
+        /// Every reader-index path taken so far, across round trips.
+        fn paths(&self) -> IndexPaths {
+            let mut paths = self.replaced_paths.clone();
+            paths.add(&self.dmu.index.paths);
+            paths
         }
 
         fn create(&mut self, d: DescriptorAddr) -> bool {
@@ -2408,5 +2822,130 @@ mod dmu_lockstep {
         }
         assert!(dmu.is_drained() && naive.is_drained());
         assert_eq!(dmu.stats(), naive.stats);
+    }
+
+    /// Roomy list arrays and three addresses, so an address collects tens of
+    /// readers before a writer flushes them and the reader-index paths all
+    /// run: skipped and exact writer pre-checks, removals found through the
+    /// index, flushed readers, reused dependence IDs, tasks naming one
+    /// address as `[in, out, in]`, and indexes rebuilt by a save/load round
+    /// trip at random steps.
+    fn fanout_config() -> DmuConfig {
+        DmuConfig {
+            tat_entries: 128,
+            tat_ways: 8,
+            dat_entries: 16,
+            dat_ways: 4,
+            successor_la_entries: 160,
+            dependence_la_entries: 256,
+            reader_la_entries: 96,
+            elems_per_list_entry: 4,
+            access_latency: Cycle::new(1),
+            index_policy: IndexPolicy::Dynamic,
+        }
+    }
+
+    #[test]
+    fn reader_fanout_matches_naive_reference_in_lockstep() {
+        let desc_of = |i: u64| DescriptorAddr(0x10_0000 + i * 64);
+        let block_of = |i: u64| DepAddr(0x80_0000 + i * 4096);
+        let mut paths = IndexPaths::default();
+        let mut peak_readers = 0;
+        for seed in 0..4u64 {
+            let mut rng = SplitMix64::new(0xFA_2007 ^ seed.wrapping_mul(0x9E3779B97F4A7C15));
+            let mut rig = LockstepRig::new(fanout_config());
+            let mut next_desc = 0u64;
+            let mut pending: Vec<DescriptorAddr> = Vec::new();
+            for step in 0..4000u64 {
+                match rng.next_below(10) {
+                    0..=4 => {
+                        let d = desc_of(next_desc);
+                        if !rig.create(d) {
+                            continue;
+                        }
+                        next_desc += 1;
+                        let addr = block_of(rng.next_below(3));
+                        let deps: Vec<(DepAddr, DepDirection)> = match rng.next_below(20) {
+                            0..=13 => vec![(addr, DepDirection::In)],
+                            14 | 15 => {
+                                vec![(addr, DepDirection::In), (block_of(3), DepDirection::In)]
+                            }
+                            16 | 17 => vec![(addr, DepDirection::Out)],
+                            18 => vec![(addr, DepDirection::InOut)],
+                            _ => vec![
+                                (addr, DepDirection::In),
+                                (addr, DepDirection::Out),
+                                (addr, DepDirection::In),
+                            ],
+                        };
+                        for (addr, dir) in deps {
+                            if !rig.add_dep(d, addr, dir) {
+                                break;
+                            }
+                        }
+                        rig.submit(d);
+                    }
+                    5 | 6 => {
+                        if let Some(d) = rig.pop_ready() {
+                            pending.push(d);
+                        }
+                    }
+                    _ => {
+                        if !pending.is_empty() {
+                            let idx = rng.next_below(pending.len() as u64) as usize;
+                            let d = pending.swap_remove(idx);
+                            rig.finish(d);
+                        }
+                    }
+                }
+                if rng.next_below(64) == 0 {
+                    rig.round_trip();
+                }
+                for raw in 0..rig.dmu.deps.capacity() {
+                    if let Some(row) = rig.dmu.deps.get(DepId::new(raw as u32)) {
+                        peak_readers = peak_readers.max(rig.dmu.rla.len(row.reader_list));
+                    }
+                }
+                if step % 500 == 0 {
+                    rig.check_aggregates();
+                }
+            }
+            for d in pending.drain(..) {
+                rig.finish(d);
+            }
+            while let Some(d) = rig.pop_ready() {
+                rig.finish(d);
+            }
+            assert!(
+                rig.dmu.is_drained() && rig.naive.is_drained(),
+                "seed {seed}"
+            );
+            rig.check_aggregates();
+            paths.add(&rig.paths());
+        }
+        assert!(
+            peak_readers >= 20,
+            "an address peaked at {peak_readers} readers"
+        );
+        let IndexPaths {
+            precheck_skipped,
+            precheck_exact,
+            found,
+            flushed,
+            ids_reused,
+            repeated,
+            rebuilt,
+        } = paths.clone();
+        for (path, count) in [
+            ("pre-check skipped", precheck_skipped),
+            ("exact pre-check", precheck_exact),
+            ("found via the index", found),
+            ("flushed and not found", flushed),
+            ("dependence ID reused", ids_reused),
+            ("repeated dependence walks", repeated),
+            ("rebuilt after load", rebuilt),
+        ] {
+            assert!(count > 0, "the {path} path never ran: {paths:?}");
+        }
     }
 }

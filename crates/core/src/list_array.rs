@@ -50,8 +50,9 @@ pub struct Walk {
 ///
 /// Storage is struct-of-arrays: instead of one heap-allocated node per entry,
 /// the array keeps parallel per-entry columns (`lens`, `next`, cached
-/// `tail`/`chain_entries`, `allocated`) plus one flat element arena in which
-/// entry `i` owns the fixed-width run starting at `i * elems_per_entry`.
+/// `tail`/`chain_entries`/`list_elems`, `allocated`) plus one flat element
+/// arena in which entry `i` owns the fixed-width run starting at
+/// `i * elems_per_entry`.
 /// Chain walks and element scans therefore stream through contiguous memory
 /// instead of chasing per-entry `Vec` allocations; the modeled [`Walk`]
 /// counts are byte-for-byte what the old node layout reported (enforced by
@@ -89,6 +90,11 @@ pub struct ListArray {
     /// Cached number of entries in each chain (head included). Only
     /// meaningful on a head entry.
     chain_entries: Vec<u64>,
+    /// Cached number of elements in each list, so `len` and `is_empty` are
+    /// O(1). Only meaningful on a head entry. Host-only: never persisted,
+    /// derived from the chains on load, and grown to the highest entry
+    /// allocated rather than sized by the capacity.
+    list_elems: Vec<u32>,
     /// Whether each entry is currently part of some list.
     allocated: Vec<bool>,
     free: Vec<usize>,
@@ -120,6 +126,7 @@ impl ListArray {
             next: vec![NO_NEXT; num_entries],
             tail: vec![0; num_entries],
             chain_entries: vec![0; num_entries],
+            list_elems: Vec::new(),
             allocated: vec![false; num_entries],
             // Allocate low indices first; order is irrelevant to correctness.
             free: (0..num_entries).rev().collect(),
@@ -164,6 +171,10 @@ impl ListArray {
         self.allocated[idx] = true;
         self.tail[idx] = idx as u32;
         self.chain_entries[idx] = 1;
+        if self.list_elems.len() <= idx {
+            self.list_elems.resize(idx + 1, 0);
+        }
+        self.list_elems[idx] = 0;
         self.peak_in_use = self.peak_in_use.max(self.entries_in_use());
         Ok(idx)
     }
@@ -255,6 +266,7 @@ impl ListArray {
         if len < self.elems_per_entry {
             self.arena[tail * self.elems_per_entry + len] = value;
             self.lens[tail] += 1;
+            self.list_elems[handle.0] += 1;
             return Ok(Walk {
                 entries_touched: walked,
             });
@@ -265,9 +277,38 @@ impl ListArray {
         self.next[tail] = new_idx as u32;
         self.tail[handle.0] = new_idx as u32;
         self.chain_entries[handle.0] = walked + 1;
+        self.list_elems[handle.0] += 1;
         Ok(Walk {
             entries_touched: walked + 1,
         })
+    }
+
+    /// The entry the list's last element was appended to. Together with the
+    /// [`Walk`] that `push` returned, whose count is that entry's chain
+    /// position, it locates the element for [`Self::remove_located`].
+    pub(crate) fn tail_entry(&self, handle: ListHandle) -> usize {
+        self.tail_of(handle).0
+    }
+
+    /// The list's entries in chain order, each with its valid elements.
+    pub(crate) fn entries(&self, handle: ListHandle) -> impl Iterator<Item = (usize, &[u32])> {
+        self.assert_allocated(handle);
+        std::iter::successors(Some(handle.0), |&idx| {
+            (self.next[idx] != NO_NEXT).then_some(self.next[idx] as usize)
+        })
+        .map(|idx| {
+            let base = idx * self.elems_per_entry;
+            (idx, &self.arena[base..base + self.lens[idx] as usize])
+        })
+    }
+
+    /// The entry holding the first occurrence of `value` and its chain
+    /// position: what a linear walk from the head finds, and how far it
+    /// walks.
+    fn locate(&self, handle: ListHandle, value: u32) -> Option<(usize, u64)> {
+        self.entries(handle)
+            .zip(1..)
+            .find_map(|((idx, elems), position)| elems.contains(&value).then_some((idx, position)))
     }
 
     /// Iterates over the elements of the list in insertion order without
@@ -289,14 +330,22 @@ impl ListArray {
         self.iter(handle).collect()
     }
 
-    /// Number of elements in the list.
+    /// Number of elements in the list. O(1) from the head entry's cache; a
+    /// `debug_assert` checks it against a full traversal.
     pub fn len(&self, handle: ListHandle) -> usize {
-        self.iter(handle).count()
+        self.assert_allocated(handle);
+        let cached = self.list_elems[handle.0] as usize;
+        debug_assert_eq!(
+            cached,
+            self.iter(handle).count(),
+            "cached element count out of sync with a traversal for {handle:?}"
+        );
+        cached
     }
 
     /// True if the list holds no elements.
     pub fn is_empty(&self, handle: ListHandle) -> bool {
-        self.iter(handle).next().is_none()
+        self.len(handle) == 0
     }
 
     /// Number of entries the list currently spans. O(1) from the cached
@@ -317,34 +366,69 @@ impl ListArray {
         let mut walked = 0;
         loop {
             walked += 1;
-            let base = idx * self.elems_per_entry;
-            let len = self.lens[idx] as usize;
-            if let Some(pos) = self.arena[base..base + len]
-                .iter()
-                .position(|&v| v == value)
-            {
-                // Shift the remaining elements left within the entry's arena
-                // run; later slots become stale, exactly like invalidating a
-                // hardware slot and compacting.
-                self.arena
-                    .copy_within(base + pos + 1..base + len, base + pos);
-                self.lens[idx] -= 1;
+            let found = self.remove_from_entry(handle, idx, value);
+            if found || self.next[idx] == NO_NEXT {
                 return (
-                    true,
-                    Walk {
-                        entries_touched: walked,
-                    },
-                );
-            }
-            if self.next[idx] == NO_NEXT {
-                return (
-                    false,
+                    found,
                     Walk {
                         entries_touched: walked,
                     },
                 );
             }
             idx = self.next[idx] as usize;
+        }
+    }
+
+    /// Removes the first occurrence of `value` from entry `idx` of the list
+    /// at `handle`, if the entry holds it.
+    fn remove_from_entry(&mut self, handle: ListHandle, idx: usize, value: u32) -> bool {
+        let base = idx * self.elems_per_entry;
+        let len = self.lens[idx] as usize;
+        let Some(pos) = self.arena[base..base + len]
+            .iter()
+            .position(|&v| v == value)
+        else {
+            return false;
+        };
+        // Shift the remaining elements left within the entry's arena run;
+        // later slots become stale, exactly like invalidating a hardware
+        // slot and compacting.
+        self.arena
+            .copy_within(base + pos + 1..base + len, base + pos);
+        self.lens[idx] -= 1;
+        self.list_elems[handle.0] -= 1;
+        true
+    }
+
+    /// [`Self::remove`] for a caller that knows where the first occurrence
+    /// of `value` sits: `entry`, at chain position `position`. Only that
+    /// entry is scanned, and the [`Walk`] is the `position` entries a linear
+    /// walk would touch; a `debug_assert` checks both against one.
+    pub(crate) fn remove_located(
+        &mut self,
+        handle: ListHandle,
+        entry: usize,
+        position: u64,
+        value: u32,
+    ) -> Walk {
+        debug_assert_eq!(
+            self.locate(handle, value),
+            Some((entry, position)),
+            "{value} is not first found in entry {entry} of {handle:?}"
+        );
+        self.remove_from_entry(handle, entry, value);
+        Walk {
+            entries_touched: position,
+        }
+    }
+
+    /// [`Self::remove`] for a caller that knows `value` is not in the list:
+    /// the walk covers the whole chain, as a linear search that finds
+    /// nothing does. A `debug_assert` checks the absence.
+    pub(crate) fn remove_absent(&self, handle: ListHandle, value: u32) -> Walk {
+        debug_assert_eq!(self.locate(handle, value), None, "{value} is in {handle:?}");
+        Walk {
+            entries_touched: self.entries_spanned(handle),
         }
     }
 
@@ -360,6 +444,7 @@ impl ListArray {
         self.next[head] = NO_NEXT;
         self.tail[head] = head as u32;
         self.chain_entries[head] = 1;
+        self.list_elems[head] = 0;
         while idx != NO_NEXT {
             walked += 1;
             let cur = idx as usize;
@@ -457,12 +542,13 @@ impl Persist for ListArray {
         self.peak_in_use.save(out);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
-        let array = ListArray {
+        let mut array = ListArray {
             arena: Vec::load(r)?,
             lens: Vec::load(r)?,
             next: Vec::load(r)?,
             tail: Vec::load(r)?,
             chain_entries: Vec::load(r)?,
+            list_elems: Vec::new(),
             allocated: Vec::load(r)?,
             free: Vec::load(r)?,
             elems_per_entry: usize::load(r)?,
@@ -487,7 +573,126 @@ impl Persist for ListArray {
                 ),
             });
         }
+        array
+            .rebuild_list_elems()
+            .map_err(|problem| SnapshotError::Corrupt {
+                context: format!("list array {problem}"),
+            })?;
         Ok(array)
+    }
+}
+
+impl ListArray {
+    /// Refuses a restored array whose chains contradict themselves, then
+    /// derives each list's element count from its chain. Every walk the
+    /// operations make relies on what is checked here: lengths within an
+    /// entry, chains that end, and cached tails that are the chains' own.
+    fn rebuild_list_elems(&mut self) -> Result<(), String> {
+        let entries = self.capacity();
+        if let Some(idx) = (0..entries).find(|&idx| self.lens[idx] as usize > self.elems_per_entry)
+        {
+            return Err(format!(
+                "entry {idx} holds {} elements in {} slots",
+                self.lens[idx], self.elems_per_entry
+            ));
+        }
+        let mut listed = vec![false; entries];
+        for &idx in &self.free {
+            if idx >= entries || self.allocated[idx] || std::mem::replace(&mut listed[idx], true) {
+                return Err(format!(
+                    "free list names entry {idx}, which is out of range, allocated or named twice"
+                ));
+            }
+        }
+        let allocated = entries - self.free.len();
+        if self.allocated.iter().filter(|&&a| a).count() != allocated {
+            return Err(format!(
+                "free list holds {} entries, but {} entries are unallocated",
+                self.free.len(),
+                self.allocated.iter().filter(|&&a| !a).count()
+            ));
+        }
+        let continued = self.continued_entries()?;
+        let mut chained = 0;
+        let used = self
+            .allocated
+            .iter()
+            .rposition(|&a| a)
+            .map_or(0, |idx| idx + 1);
+        self.list_elems = vec![0; used];
+        for head in (0..entries).filter(|&idx| self.allocated[idx] && !continued[idx]) {
+            let (mut tail, mut walked, mut elems) = (head, 1, u64::from(self.lens[head]));
+            while self.next[tail] != NO_NEXT {
+                tail = self.next[tail] as usize;
+                walked += 1;
+                elems += u64::from(self.lens[tail]);
+            }
+            chained += walked;
+            let cached = (self.tail[head] as usize, self.chain_entries[head]);
+            if cached != (tail, walked) {
+                return Err(format!(
+                    "list at entry {head} records (tail, entries) {cached:?}, but its chain \
+                     has {:?}",
+                    (tail, walked)
+                ));
+            }
+            self.list_elems[head] = u32::try_from(elems)
+                .map_err(|_| format!("list at entry {head} holds {elems} elements"))?;
+        }
+        if chained != allocated as u64 {
+            return Err(format!(
+                "has {} allocated entries that no list reaches (a cycle)",
+                allocated as u64 - chained
+            ));
+        }
+        Ok(())
+    }
+
+    /// Which entries some allocated entry's chain continues into, refusing
+    /// a continuation that is out of range, free, or shared by two chains.
+    fn continued_entries(&self) -> Result<Vec<bool>, String> {
+        let entries = self.capacity();
+        let mut continued = vec![false; entries];
+        for idx in (0..entries).filter(|&idx| self.allocated[idx]) {
+            if self.next[idx] == NO_NEXT {
+                continue;
+            }
+            let next = self.next[idx] as usize;
+            if next >= entries
+                || !self.allocated[next]
+                || std::mem::replace(&mut continued[next], true)
+            {
+                return Err(format!(
+                    "entry {idx} continues at entry {next}, which is out of range, free or \
+                     another chain's"
+                ));
+            }
+        }
+        Ok(continued)
+    }
+
+    /// The head entry of every list: the allocated entries that no chain
+    /// continues into. A restore checks that each live table row owns one,
+    /// and that no two rows share one.
+    pub(crate) fn heads(&self) -> ListHeads {
+        let continued = self
+            .continued_entries()
+            .expect("a loaded array's chains were checked");
+        ListHeads(
+            (0..self.capacity())
+                .map(|idx| self.allocated[idx] && !continued[idx])
+                .collect(),
+        )
+    }
+}
+
+/// The unclaimed list heads of one array (see [`ListArray::heads`]).
+pub(crate) struct ListHeads(Vec<bool>);
+
+impl ListHeads {
+    /// Claims `handle`'s list: true if it is a head no earlier call claimed.
+    pub(crate) fn claim(&mut self, handle: ListHandle) -> bool {
+        self.0.get_mut(handle.0).is_some_and(std::mem::take)
     }
 }
 
@@ -655,6 +860,11 @@ pub mod naive {
             self.collect(handle).is_empty()
         }
 
+        /// Mirrors [`super::ListArray::len`] via a full walk.
+        pub fn len(&self, handle: ListHandle) -> usize {
+            self.collect(handle).len()
+        }
+
         /// Mirrors [`super::ListArray::collect`].
         pub fn collect(&self, handle: ListHandle) -> Vec<u32> {
             let mut values = Vec::new();
@@ -700,6 +910,106 @@ mod tests {
                 assert!(context.contains("geometry is inconsistent"), "{context}")
             }
             other => panic!("expected an inconsistent geometry, got {other:?}"),
+        }
+    }
+
+    /// The context of the `Corrupt` error that loading `array` returns.
+    fn refusal(array: &ListArray) -> String {
+        let bytes = tdm_sim::snapshot::to_payload(array);
+        match ListArray::load(&mut Reader::new(&bytes)) {
+            Err(SnapshotError::Corrupt { context }) => context,
+            other => panic!("expected a corrupt list array, got {other:?}"),
+        }
+    }
+
+    /// Two lists in 2-slot entries: `[1, 2, 3]` over entries 0 → 2 and
+    /// `[4]` in entry 1; entry 3 is free.
+    fn two_lists() -> ListArray {
+        let mut la = ListArray::new(4, 2);
+        let a = la.alloc_list().unwrap();
+        let b = la.alloc_list().unwrap();
+        for v in 1..=3 {
+            la.push(a, v).unwrap();
+        }
+        la.push(b, 4).unwrap();
+        la
+    }
+
+    /// A restored array's element counts are derived from its chains, so
+    /// `len` and `is_empty` hold after a round trip.
+    #[test]
+    fn load_derives_list_lengths() {
+        let mut la = two_lists();
+        la.flush(ListHandle(1));
+        let bytes = tdm_sim::snapshot::to_payload(&la);
+        let restored = ListArray::load(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(restored.len(ListHandle(0)), 3);
+        assert!(restored.is_empty(ListHandle(1)));
+    }
+
+    #[test]
+    fn load_refuses_a_next_out_of_range() {
+        let mut la = two_lists();
+        la.next[2] = 9;
+        assert!(refusal(&la).contains("continues at entry 9"));
+    }
+
+    #[test]
+    fn load_refuses_a_length_above_the_entry_size() {
+        let mut la = two_lists();
+        la.lens[1] = 3;
+        assert!(refusal(&la).contains("entry 1 holds 3 elements in 2 slots"));
+    }
+
+    #[test]
+    fn load_refuses_a_chain_that_cycles() {
+        let mut la = ListArray::new(2, 1);
+        la.alloc_list().unwrap();
+        la.next[0] = 0;
+        assert!(refusal(&la).contains("a cycle"));
+    }
+
+    #[test]
+    fn load_refuses_two_chains_sharing_an_entry() {
+        let mut la = two_lists();
+        la.next[1] = 2;
+        assert!(refusal(&la).contains("another chain's"));
+    }
+
+    #[test]
+    fn load_refuses_a_chain_through_a_free_entry() {
+        let mut la = two_lists();
+        la.next[2] = 3;
+        assert!(refusal(&la).contains("continues at entry 3"));
+    }
+
+    #[test]
+    fn load_refuses_a_tail_its_chain_contradicts() {
+        let mut la = two_lists();
+        la.tail[0] = 0;
+        assert!(refusal(&la).contains("list at entry 0 records (tail, entries) (0, 2)"));
+    }
+
+    #[test]
+    fn load_refuses_a_chain_length_its_chain_contradicts() {
+        let mut la = two_lists();
+        la.chain_entries[1] = 5;
+        assert!(refusal(&la).contains("list at entry 1 records (tail, entries) (1, 5)"));
+    }
+
+    #[test]
+    fn load_refuses_a_free_list_other_than_the_unallocated_entries() {
+        type Edit = fn(&mut Vec<usize>);
+        let edits: [(Edit, &str); 3] = [
+            (|free| free.push(3), "named twice"),
+            (|free| free[0] = 0, "allocated"),
+            (|free| free.clear(), "1 entries are unallocated"),
+        ];
+        for (edit, problem) in edits {
+            let mut la = two_lists();
+            edit(&mut la.free);
+            let context = refusal(&la);
+            assert!(context.contains(problem), "{context}");
         }
     }
 
@@ -1010,6 +1320,8 @@ mod tests {
                         naive.push_needs_new_entry(h),
                         "{ctx}: spill prediction"
                     );
+                    assert_eq!(fast.len(h), naive.len(h), "{ctx}: length");
+                    assert_eq!(fast.is_empty(h), naive.is_empty(h), "{ctx}: emptiness");
                 }
             }
         }
@@ -1100,6 +1412,8 @@ mod tests {
                         naive.push_needs_new_entry(h),
                         "{ctx}: spill prediction"
                     );
+                    assert_eq!(fast.len(h), naive.len(h), "{ctx}: length");
+                    assert_eq!(fast.is_empty(h), naive.is_empty(h), "{ctx}: emptiness");
                 }
             }
         }

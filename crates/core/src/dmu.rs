@@ -619,7 +619,7 @@ impl Dmu {
             let flush_walk = self.rla.flush(reader_list);
             accesses.record(DmuStructure::ReaderLa, flush_walk.entries_touched);
             self.index.invalidate(dep);
-            self.index.register(task, Registration::absent(dep));
+            self.index.register(task, dep, false);
             self.deps.row_mut(dep).last_writer = Some(task);
             accesses.touch(DmuStructure::DependenceTable);
         } else {
@@ -629,13 +629,7 @@ impl Dmu {
                 .push(reader_list, task.raw())
                 .expect("pre-checked RLA space");
             accesses.record(DmuStructure::ReaderLa, walk.entries_touched);
-            let registration = Registration {
-                entry: self.rla.tail_entry(reader_list) as u32,
-                position: walk.entries_touched as u32,
-                generation: self.index.generations[dep.index()],
-                ..Registration::absent(dep)
-            };
-            self.index.register(task, registration);
+            self.index.register(task, dep, true);
         }
 
         self.stats.add_dependences += 1;
@@ -763,9 +757,9 @@ impl Dmu {
 
         // Second loop: detach from dependences and free dead ones. The
         // task's registrations mirror its dependence list element for
-        // element, so the loop walks them instead; each says where the
-        // reader-list removal finds the task, so only a task that names one
-        // dependence twice searches its reader list.
+        // element, so the loop walks them instead; one whose task a writer
+        // has since flushed, or that registered no reader, skips the
+        // reader-list search that would find nothing.
         accesses.record(
             DmuStructure::DependenceLa,
             self.dla.entries_spanned(dependence_list),
@@ -942,39 +936,26 @@ impl Dmu {
     }
 
     /// Derives the host-only [`ReaderIndex`] from the restored lists: each
-    /// live task's registrations from its dependence list, then each reader
-    /// list's elements locate the registrations they belong to.
+    /// live task's registrations from its dependence list. Whether a
+    /// restored task still sits in a reader list is not recorded, so every
+    /// registration carries the current stamp and its removal searches.
     fn rebuild_index(&mut self) {
         let mut index = ReaderIndex::default();
+        for dep in (0..self.deps.capacity()).map(|raw| DepId::new(raw as u32)) {
+            if self.deps.get(dep).is_some() {
+                index.add_dependence(dep);
+            }
+        }
         for task in (0..self.tasks.capacity()).map(|raw| TaskId::new(raw as u32)) {
             if let Some(row) = self.tasks.get(task) {
                 index.add_task(task);
-                for dep in self.dla.iter(row.dependence_list) {
-                    index.register(task, Registration::absent(DepId::new(dep)));
-                }
-            }
-        }
-        for dep in (0..self.deps.capacity()).map(|raw| DepId::new(raw as u32)) {
-            let Some(row) = self.deps.get(dep) else {
-                continue;
-            };
-            index.add_dependence(dep);
-            for ((entry, readers), position) in self.rla.entries(row.reader_list).zip(1..) {
-                for &reader in readers {
-                    // The first occurrence of a reader is the one a removal
-                    // finds; a task naming the dependence twice walks anyway.
-                    let unlocated = index.tasks.get_mut(reader as usize).and_then(|t| {
-                        t.registrations.iter_mut().find(|r| {
-                            r.dep == dep && !r.repeated && r.entry == Registration::ABSENT
-                        })
-                    });
-                    if let Some(registration) = unlocated {
-                        registration.entry = entry as u32;
-                        registration.position = position;
-                        #[cfg(test)]
-                        {
-                            index.paths.rebuilt += 1;
-                        }
+                for dep in self.dla.iter(row.dependence_list).map(DepId::new) {
+                    // An element naming no live dependence is skipped at
+                    // finish, so it needs no stamp.
+                    index.register(task, dep, self.deps.get(dep).is_some());
+                    #[cfg(test)]
+                    {
+                        index.paths.rebuilt += 1;
                     }
                 }
             }
@@ -1012,41 +993,21 @@ impl Dmu {
     }
 }
 
-/// Where one element of a task's dependence list left the task in the
-/// Reader List Array. Host-only: the hardware walks the reader list to find
-/// the task, and this record says where that walk ends.
+/// Whether one element of a task's dependence list may have left the task
+/// in the Reader List Array. Host-only: the hardware searches the reader
+/// list, and this record says when that search cannot find the task.
 #[derive(Debug, Clone, Copy)]
 struct Registration {
     /// The dependence the element names.
     dep: DepId,
-    /// The RLA entry holding the task, or [`Registration::ABSENT`] for an
-    /// element that registered no reader (a write).
-    entry: u32,
-    /// That entry's chain position: the entries a walk from the head
-    /// touches to find the task.
-    position: u32,
-    /// The dependence's generation when the task registered. A flush of the
-    /// reader list or a free of the dependence moves it on, and with it
-    /// every registration recorded before.
-    generation: u32,
-    /// The task names `dep` more than once, so the first occurrence a
-    /// removal must hit may be another element's: removal walks instead.
+    /// The dependence's generation when the task joined its reader list,
+    /// or `None` for an element that joined none (a write). A flush of the
+    /// reader list or a free of the dependence moves the generation on, so
+    /// a stamp that differs from it says the task has left the list.
+    generation: Option<u32>,
+    /// The task names `dep` more than once, so a removal may hit another
+    /// element's occurrence: removal searches whatever the stamp says.
     repeated: bool,
-}
-
-impl Registration {
-    const ABSENT: u32 = u32::MAX;
-
-    /// An element whose task is not in `dep`'s reader list.
-    fn absent(dep: DepId) -> Self {
-        Registration {
-            dep,
-            entry: Self::ABSENT,
-            position: 0,
-            generation: 0,
-            repeated: false,
-        }
-    }
 }
 
 /// Host-only state the DMU keeps per task ID.
@@ -1060,10 +1021,10 @@ struct TaskIndex {
     pending_pushes: u32,
 }
 
-/// Host-only bookkeeping that lets the model find what a reader-list walk
-/// finds without repeating the walk; the modeled walk counts are unchanged.
-/// Sized by the task and dependence IDs in use, never persisted, and rebuilt
-/// from the persisted lists by [`Dmu::load`].
+/// Host-only bookkeeping that lets the model skip reader-list walks whose
+/// outcome it already knows; the modeled walk counts are unchanged. Sized
+/// by the task and dependence IDs in use, never persisted, and rebuilt from
+/// the persisted lists by [`Dmu::load`].
 #[derive(Debug, Clone, Default)]
 struct ReaderIndex {
     /// Per task ID.
@@ -1085,7 +1046,7 @@ struct ReaderIndex {
 struct IndexPaths {
     precheck_skipped: u64,
     precheck_exact: u64,
-    found: u64,
+    searched: u64,
     flushed: u64,
     ids_reused: u64,
     repeated: u64,
@@ -1097,7 +1058,7 @@ impl IndexPaths {
     fn add(&mut self, other: &IndexPaths) {
         self.precheck_skipped += other.precheck_skipped;
         self.precheck_exact += other.precheck_exact;
-        self.found += other.found;
+        self.searched += other.searched;
         self.flushed += other.flushed;
         self.ids_reused += other.ids_reused;
         self.repeated += other.repeated;
@@ -1127,12 +1088,18 @@ impl ReaderIndex {
     }
 
     /// Appends the registration of `task`'s newest dependence-list element,
-    /// marking every element of the task that names the same dependence.
-    fn register(&mut self, task: TaskId, mut registration: Registration) {
+    /// which `joined` `dep`'s reader list or not, marking every element of
+    /// the task that names the same dependence.
+    fn register(&mut self, task: TaskId, dep: DepId, joined: bool) {
+        let mut registration = Registration {
+            dep,
+            generation: joined.then(|| self.generations[dep.index()]),
+            repeated: false,
+        };
         let registrations = &mut self.tasks[task.index()].registrations;
         for earlier in registrations
             .iter_mut()
-            .filter(|earlier| earlier.dep == registration.dep)
+            .filter(|earlier| earlier.dep == dep)
         {
             earlier.repeated = true;
             registration.repeated = true;
@@ -1148,6 +1115,8 @@ impl ReaderIndex {
 
     /// Removes `task` from the reader list `list` of its registration's
     /// dependence, returning the walk a linear search from the head makes.
+    /// Only a registration known to have left the list skips the search; a
+    /// stamp that matches by wrap-around costs a search, not a wrong walk.
     fn remove_reader(
         &mut self,
         rla: &mut ListArray,
@@ -1155,31 +1124,23 @@ impl ReaderIndex {
         task: TaskId,
         registration: &Registration,
     ) -> Walk {
-        if registration.repeated {
+        let current = Some(self.generations[registration.dep.index()]);
+        if registration.repeated || registration.generation == current {
             #[cfg(test)]
             {
-                self.paths.repeated += 1;
+                if registration.repeated {
+                    self.paths.repeated += 1;
+                } else {
+                    self.paths.searched += 1;
+                }
             }
             return rla.remove(list, task.raw()).1;
         }
-        let current = self.generations[registration.dep.index()];
-        if registration.entry == Registration::ABSENT || registration.generation != current {
-            #[cfg(test)]
-            {
-                self.paths.flushed += u64::from(registration.entry != Registration::ABSENT);
-            }
-            return rla.remove_absent(list, task.raw());
-        }
         #[cfg(test)]
         {
-            self.paths.found += 1;
+            self.paths.flushed += u64::from(registration.generation.is_some());
         }
-        rla.remove_located(
-            list,
-            registration.entry as usize,
-            u64::from(registration.position),
-            task.raw(),
-        )
+        rla.remove_absent(list, task.raw())
     }
 }
 
@@ -1936,9 +1897,9 @@ mod tests {
             Dmu::load(&mut Reader::new(&bytes))
         };
         assert!(restore(&dmu).is_ok());
-        let continuation = dmu
-            .dla
-            .tail_entry(dmu.tasks.row(TaskId::new(0)).dependence_list);
+        // Task 0's dependence list took DLA entry 0 and chained entry 1
+        // for its fifth block before task 1's list took entry 2.
+        let continuation = 1;
         type Edit = fn(&mut Dmu, usize);
         let cases: [(Edit, &str); 3] = [
             (
@@ -2826,10 +2787,10 @@ mod dmu_lockstep {
 
     /// Roomy list arrays and three addresses, so an address collects tens of
     /// readers before a writer flushes them and the reader-index paths all
-    /// run: skipped and exact writer pre-checks, removals found through the
-    /// index, flushed readers, reused dependence IDs, tasks naming one
-    /// address as `[in, out, in]`, and indexes rebuilt by a save/load round
-    /// trip at random steps.
+    /// run: skipped and exact writer pre-checks, removals that search under
+    /// a current stamp, flushed readers, reused dependence IDs, tasks naming
+    /// one address as `[in, out, in]`, and indexes rebuilt by a save/load
+    /// round trip at random steps.
     fn fanout_config() -> DmuConfig {
         DmuConfig {
             tat_entries: 128,
@@ -2930,7 +2891,7 @@ mod dmu_lockstep {
         let IndexPaths {
             precheck_skipped,
             precheck_exact,
-            found,
+            searched,
             flushed,
             ids_reused,
             repeated,
@@ -2939,7 +2900,7 @@ mod dmu_lockstep {
         for (path, count) in [
             ("pre-check skipped", precheck_skipped),
             ("exact pre-check", precheck_exact),
-            ("found via the index", found),
+            ("current stamp searched", searched),
             ("flushed and not found", flushed),
             ("dependence ID reused", ids_reused),
             ("repeated dependence walks", repeated),

@@ -283,34 +283,6 @@ impl ListArray {
         })
     }
 
-    /// The entry the list's last element was appended to. Together with the
-    /// [`Walk`] that `push` returned, whose count is that entry's chain
-    /// position, it locates the element for [`Self::remove_located`].
-    pub(crate) fn tail_entry(&self, handle: ListHandle) -> usize {
-        self.tail_of(handle).0
-    }
-
-    /// The list's entries in chain order, each with its valid elements.
-    pub(crate) fn entries(&self, handle: ListHandle) -> impl Iterator<Item = (usize, &[u32])> {
-        self.assert_allocated(handle);
-        std::iter::successors(Some(handle.0), |&idx| {
-            (self.next[idx] != NO_NEXT).then_some(self.next[idx] as usize)
-        })
-        .map(|idx| {
-            let base = idx * self.elems_per_entry;
-            (idx, &self.arena[base..base + self.lens[idx] as usize])
-        })
-    }
-
-    /// The entry holding the first occurrence of `value` and its chain
-    /// position: what a linear walk from the head finds, and how far it
-    /// walks.
-    fn locate(&self, handle: ListHandle, value: u32) -> Option<(usize, u64)> {
-        self.entries(handle)
-            .zip(1..)
-            .find_map(|((idx, elems), position)| elems.contains(&value).then_some((idx, position)))
-    }
-
     /// Iterates over the elements of the list in insertion order without
     /// allocating. The list must not be mutated while the iterator lives
     /// (the borrow checker enforces this), which is what the DMU's hot
@@ -366,10 +338,29 @@ impl ListArray {
         let mut walked = 0;
         loop {
             walked += 1;
-            let found = self.remove_from_entry(handle, idx, value);
-            if found || self.next[idx] == NO_NEXT {
+            let base = idx * self.elems_per_entry;
+            let len = self.lens[idx] as usize;
+            if let Some(pos) = self.arena[base..base + len]
+                .iter()
+                .position(|&v| v == value)
+            {
+                // Shift the remaining elements left within the entry's arena
+                // run; later slots become stale, exactly like invalidating a
+                // hardware slot and compacting.
+                self.arena
+                    .copy_within(base + pos + 1..base + len, base + pos);
+                self.lens[idx] -= 1;
+                self.list_elems[handle.0] -= 1;
                 return (
-                    found,
+                    true,
+                    Walk {
+                        entries_touched: walked,
+                    },
+                );
+            }
+            if self.next[idx] == NO_NEXT {
+                return (
+                    false,
                     Walk {
                         entries_touched: walked,
                     },
@@ -379,54 +370,14 @@ impl ListArray {
         }
     }
 
-    /// Removes the first occurrence of `value` from entry `idx` of the list
-    /// at `handle`, if the entry holds it.
-    fn remove_from_entry(&mut self, handle: ListHandle, idx: usize, value: u32) -> bool {
-        let base = idx * self.elems_per_entry;
-        let len = self.lens[idx] as usize;
-        let Some(pos) = self.arena[base..base + len]
-            .iter()
-            .position(|&v| v == value)
-        else {
-            return false;
-        };
-        // Shift the remaining elements left within the entry's arena run;
-        // later slots become stale, exactly like invalidating a hardware
-        // slot and compacting.
-        self.arena
-            .copy_within(base + pos + 1..base + len, base + pos);
-        self.lens[idx] -= 1;
-        self.list_elems[handle.0] -= 1;
-        true
-    }
-
-    /// [`Self::remove`] for a caller that knows where the first occurrence
-    /// of `value` sits: `entry`, at chain position `position`. Only that
-    /// entry is scanned, and the [`Walk`] is the `position` entries a linear
-    /// walk would touch; a `debug_assert` checks both against one.
-    pub(crate) fn remove_located(
-        &mut self,
-        handle: ListHandle,
-        entry: usize,
-        position: u64,
-        value: u32,
-    ) -> Walk {
-        debug_assert_eq!(
-            self.locate(handle, value),
-            Some((entry, position)),
-            "{value} is not first found in entry {entry} of {handle:?}"
-        );
-        self.remove_from_entry(handle, entry, value);
-        Walk {
-            entries_touched: position,
-        }
-    }
-
     /// [`Self::remove`] for a caller that knows `value` is not in the list:
     /// the walk covers the whole chain, as a linear search that finds
     /// nothing does. A `debug_assert` checks the absence.
     pub(crate) fn remove_absent(&self, handle: ListHandle, value: u32) -> Walk {
-        debug_assert_eq!(self.locate(handle, value), None, "{value} is in {handle:?}");
+        debug_assert!(
+            self.iter(handle).all(|v| v != value),
+            "{value} is in {handle:?}"
+        );
         Walk {
             entries_touched: self.entries_spanned(handle),
         }

@@ -330,12 +330,12 @@ impl Dmu {
             Err(AliasError::Exhausted) => return Err(self.stall(StallReason::TatExhausted)),
         };
         accesses.touch(DmuStructure::Tat);
-        self.index.add_task(id);
 
         let successor_list = self.sla.alloc_list().expect("pre-checked SLA space");
         accesses.touch(DmuStructure::SuccessorLa);
         let dependence_list = self.dla.alloc_list().expect("pre-checked DLA space");
         accesses.touch(DmuStructure::DependenceLa);
+        self.index.add_task(successor_list, dependence_list);
 
         self.tasks.insert(
             id,
@@ -379,7 +379,7 @@ impl Dmu {
         let reader_list = self.rla.alloc_list().expect("pre-checked RLA space");
         accesses.touch(DmuStructure::ReaderLa);
         let id = DepId::new(raw);
-        self.index.add_dependence(id);
+        self.index.add_dependence(reader_list);
         self.deps.insert(
             id,
             DepEntry {
@@ -450,7 +450,7 @@ impl Dmu {
             .into_iter()
             .chain(readers.filter(|&reader| reader != task))
         {
-            let pushes = &mut index.tasks[target.index()].pending_pushes;
+            let pushes = &mut index.pending_pushes[successor_list(target).head()];
             if *pushes == 0 {
                 index.push_targets.push(target);
             }
@@ -460,9 +460,9 @@ impl Dmu {
             .push_targets
             .drain(..)
             .map(|target| {
-                let pushes = std::mem::take(&mut index.tasks[target.index()].pending_pushes);
-                self.sla
-                    .new_entries_for_pushes(successor_list(target), pushes as usize)
+                let list = successor_list(target);
+                let pushes = std::mem::take(&mut index.pending_pushes[list.head()]);
+                self.sla.new_entries_for_pushes(list, pushes as usize)
             })
             .sum();
         (needed_sla, needed_dla, 0)
@@ -618,8 +618,8 @@ impl Dmu {
             }
             let flush_walk = self.rla.flush(reader_list);
             accesses.record(DmuStructure::ReaderLa, flush_walk.entries_touched);
-            self.index.invalidate(dep);
-            self.index.register(task, dep, false);
+            self.index.invalidate(reader_list);
+            self.index.register(dep_list, dep, None);
             self.deps.row_mut(dep).last_writer = Some(task);
             accesses.touch(DmuStructure::DependenceTable);
         } else {
@@ -629,7 +629,7 @@ impl Dmu {
                 .push(reader_list, task.raw())
                 .expect("pre-checked RLA space");
             accesses.record(DmuStructure::ReaderLa, walk.entries_touched);
-            self.index.register(task, dep, true);
+            self.index.register(dep_list, dep, Some(reader_list));
         }
 
         self.stats.add_dependences += 1;
@@ -764,7 +764,8 @@ impl Dmu {
             DmuStructure::DependenceLa,
             self.dla.entries_spanned(dependence_list),
         );
-        let mut registrations = std::mem::take(&mut self.index.tasks[task.index()].registrations);
+        let registered = &mut self.index.registrations[dependence_list.head()];
+        let mut registrations = std::mem::take(registered);
         debug_assert!(
             self.dla
                 .iter(dependence_list)
@@ -791,13 +792,13 @@ impl Dmu {
                 accesses.touch(DmuStructure::DependenceTable);
                 self.dat.remove(entry.addr.raw(), entry.size);
                 accesses.touch(DmuStructure::Dat);
-                self.index.invalidate(dep);
+                self.index.invalidate(entry.reader_list);
             } else if entry.last_writer == Some(task) {
                 self.deps.row_mut(dep).last_writer = None;
             }
         }
         registrations.clear();
-        self.index.tasks[task.index()].registrations = registrations;
+        self.index.registrations[dependence_list.head()] = registrations;
 
         // Free the task's own resources.
         let walk = self.sla.free_list(successor_list);
@@ -942,17 +943,18 @@ impl Dmu {
     fn rebuild_index(&mut self) {
         let mut index = ReaderIndex::default();
         for dep in (0..self.deps.capacity()).map(|raw| DepId::new(raw as u32)) {
-            if self.deps.get(dep).is_some() {
-                index.add_dependence(dep);
+            if let Some(row) = self.deps.get(dep) {
+                cover(&mut index.generations, row.reader_list.head());
             }
         }
         for task in (0..self.tasks.capacity()).map(|raw| TaskId::new(raw as u32)) {
             if let Some(row) = self.tasks.get(task) {
-                index.add_task(task);
+                index.add_task(row.successor_list, row.dependence_list);
                 for dep in self.dla.iter(row.dependence_list).map(DepId::new) {
                     // An element naming no live dependence is skipped at
                     // finish, so it needs no stamp.
-                    index.register(task, dep, self.deps.get(dep).is_some());
+                    let reader_list = self.deps.get(dep).map(|row| row.reader_list);
+                    index.register(row.dependence_list, dep, reader_list);
                     #[cfg(test)]
                     {
                         index.paths.rebuilt += 1;
@@ -1000,37 +1002,33 @@ impl Dmu {
 struct Registration {
     /// The dependence the element names.
     dep: DepId,
-    /// The dependence's generation when the task joined its reader list,
-    /// or `None` for an element that joined none (a write). A flush of the
-    /// reader list or a free of the dependence moves the generation on, so
-    /// a stamp that differs from it says the task has left the list.
+    /// The generation of the dependence's reader list when the task joined
+    /// it, or `None` for an element that joined none (a write). A flush of
+    /// the list or a free of the dependence moves the generation on, so a
+    /// stamp that differs from it says the task has left the list.
     generation: Option<u32>,
     /// The task names `dep` more than once, so a removal may hit another
     /// element's occurrence: removal searches whatever the stamp says.
     repeated: bool,
 }
 
-/// Host-only state the DMU keeps per task ID.
-#[derive(Debug, Clone, Default)]
-struct TaskIndex {
-    /// One registration per element of the task's dependence list, in list
-    /// order. Empty while the ID is not in flight.
-    registrations: Vec<Registration>,
-    /// Successor-list pushes an exact writer pre-check has counted for the
-    /// task so far; zero between operations.
-    pending_pushes: u32,
-}
-
 /// Host-only bookkeeping that lets the model skip reader-list walks whose
-/// outcome it already knows; the modeled walk counts are unchanged. Sized
-/// by the task and dependence IDs in use, never persisted, and rebuilt from
-/// the persisted lists by [`Dmu::load`].
+/// outcome it already knows; the modeled walk counts are unchanged. Keyed
+/// by list heads (see [`ListHandle::head`]), not by task or dependence IDs,
+/// which the alias tables scatter over their whole capacity; never
+/// persisted, and rebuilt from the persisted lists by [`Dmu::load`].
 #[derive(Debug, Clone, Default)]
 struct ReaderIndex {
-    /// Per task ID.
-    tasks: Vec<TaskIndex>,
-    /// Per dependence ID, moved on by a flush of its reader list or a free of
-    /// the dependence.
+    /// Per task, at the head of its dependence list: one registration per
+    /// element of that list, in list order. Empty where no live task's
+    /// dependence list starts.
+    registrations: Vec<Vec<Registration>>,
+    /// Per task, at the head of its successor list: the pushes an exact
+    /// writer pre-check has counted for the task so far; zero between
+    /// operations.
+    pending_pushes: Vec<u32>,
+    /// Per reader list, at its head: moved on by a flush of the list or a
+    /// free of its dependence.
     generations: Vec<u32>,
     /// The tasks with nonzero `pending_pushes`, in the order first counted.
     push_targets: Vec<TaskId>,
@@ -1048,7 +1046,7 @@ struct IndexPaths {
     precheck_exact: u64,
     searched: u64,
     flushed: u64,
-    ids_reused: u64,
+    heads_reused: u64,
     repeated: u64,
     rebuilt: u64,
 }
@@ -1060,43 +1058,48 @@ impl IndexPaths {
         self.precheck_exact += other.precheck_exact;
         self.searched += other.searched;
         self.flushed += other.flushed;
-        self.ids_reused += other.ids_reused;
+        self.heads_reused += other.heads_reused;
         self.repeated += other.repeated;
         self.rebuilt += other.rebuilt;
     }
 }
 
+/// Grows `column` to cover `head`.
+fn cover<T: Clone + Default>(column: &mut Vec<T>, head: usize) {
+    if column.len() <= head {
+        column.resize(head + 1, T::default());
+    }
+}
+
 impl ReaderIndex {
-    /// Makes room for a task created with ID `task`.
-    fn add_task(&mut self, task: TaskId) {
-        if self.tasks.len() <= task.index() {
-            self.tasks.resize_with(task.index() + 1, TaskIndex::default);
-        }
-        debug_assert!(self.tasks[task.index()].registrations.is_empty());
+    /// Makes room for a task created with these successor and dependence
+    /// lists.
+    fn add_task(&mut self, successor_list: ListHandle, dependence_list: ListHandle) {
+        cover(&mut self.pending_pushes, successor_list.head());
+        cover(&mut self.registrations, dependence_list.head());
+        debug_assert!(self.registrations[dependence_list.head()].is_empty());
     }
 
-    /// Makes room for a dependence created with ID `dep`.
-    fn add_dependence(&mut self, dep: DepId) {
-        if self.generations.len() <= dep.index() {
-            self.generations.resize(dep.index() + 1, 0);
-        } else {
-            #[cfg(test)]
-            {
-                self.paths.ids_reused += 1;
-            }
+    /// Makes room for a dependence created with this reader list.
+    fn add_dependence(&mut self, reader_list: ListHandle) {
+        #[cfg(test)]
+        {
+            self.paths.heads_reused += u64::from(reader_list.head() < self.generations.len());
         }
+        cover(&mut self.generations, reader_list.head());
     }
 
-    /// Appends the registration of `task`'s newest dependence-list element,
-    /// which `joined` `dep`'s reader list or not, marking every element of
-    /// the task that names the same dependence.
-    fn register(&mut self, task: TaskId, dep: DepId, joined: bool) {
+    /// Appends the registration of the newest element of the dependence
+    /// list `dependence_list`, naming `dep`, whose reader list the task
+    /// joined (`Some`) or not, and marks every element of that list that
+    /// names the same dependence.
+    fn register(&mut self, dependence_list: ListHandle, dep: DepId, joined: Option<ListHandle>) {
         let mut registration = Registration {
             dep,
-            generation: joined.then(|| self.generations[dep.index()]),
+            generation: joined.map(|reader_list| self.generations[reader_list.head()]),
             repeated: false,
         };
-        let registrations = &mut self.tasks[task.index()].registrations;
+        let registrations = &mut self.registrations[dependence_list.head()];
         for earlier in registrations
             .iter_mut()
             .filter(|earlier| earlier.dep == dep)
@@ -1107,9 +1110,9 @@ impl ReaderIndex {
         registrations.push(registration);
     }
 
-    /// Forgets every registration recorded against `dep` so far.
-    fn invalidate(&mut self, dep: DepId) {
-        let generation = &mut self.generations[dep.index()];
+    /// Forgets every registration recorded against `reader_list` so far.
+    fn invalidate(&mut self, reader_list: ListHandle) {
+        let generation = &mut self.generations[reader_list.head()];
         *generation = generation.wrapping_add(1);
     }
 
@@ -1124,7 +1127,7 @@ impl ReaderIndex {
         task: TaskId,
         registration: &Registration,
     ) -> Walk {
-        let current = Some(self.generations[registration.dep.index()]);
+        let current = Some(self.generations[list.head()]);
         if registration.repeated || registration.generation == current {
             #[cfg(test)]
             {
@@ -2893,7 +2896,7 @@ mod dmu_lockstep {
             precheck_exact,
             searched,
             flushed,
-            ids_reused,
+            heads_reused,
             repeated,
             rebuilt,
         } = paths.clone();
@@ -2902,7 +2905,7 @@ mod dmu_lockstep {
             ("exact pre-check", precheck_exact),
             ("current stamp searched", searched),
             ("flushed and not found", flushed),
-            ("dependence ID reused", ids_reused),
+            ("reader-list head reused", heads_reused),
             ("repeated dependence walks", repeated),
             ("rebuilt after load", rebuilt),
         ] {

@@ -22,6 +22,16 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ListHandle(usize);
 
+impl ListHandle {
+    /// The index of the list's head entry. A [`ListArray`] hands out its
+    /// lowest free entries first and reuses freed ones before fresh ones, so
+    /// head indices stay below the peak number of entries in use: host-only
+    /// state keyed by them grows with the lists, not with the capacity.
+    pub(crate) fn head(self) -> usize {
+        self.0
+    }
+}
+
 /// Error returned when the list array has no free entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ListArrayFull;
